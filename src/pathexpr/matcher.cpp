@@ -7,8 +7,11 @@ Matcher::Matcher(const CallOrderSpec* spec)
 
 MatchResult Matcher::advance(const std::string& procedure) {
   if (spec_ == nullptr) return MatchResult::kUnconstrained;
-  const std::int32_t symbol = spec_->dfa().symbol_index(procedure);
-  if (symbol < 0) return MatchResult::kUnconstrained;
+  return advance_index(spec_->dfa().symbol_index(procedure));
+}
+
+MatchResult Matcher::advance_index(std::int32_t symbol) {
+  if (spec_ == nullptr || symbol < 0) return MatchResult::kUnconstrained;
   if (state_ == kDeadState) return MatchResult::kViolation;
   const StateId next = spec_->dfa().next(state_, symbol);
   if (next == kDeadState) {

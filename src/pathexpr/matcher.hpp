@@ -34,6 +34,10 @@ class Matcher {
   /// Feed one completed procedure call.  On kViolation the cursor freezes
   /// (subsequent calls keep reporting violations) until reset().
   MatchResult advance(const std::string& procedure);
+  /// advance() for a procedure already resolved to its index in the DFA
+  /// alphabet (Dfa::symbol_index; negative = outside the alphabet), so a
+  /// caller that caches the index skips the name lookup.
+  MatchResult advance_index(std::int32_t symbol);
 
   /// True if the calls so far form a complete word of the path expression
   /// (e.g. every Acquire has been Released).

@@ -1,5 +1,6 @@
 #include "runtime/hoare_monitor.hpp"
 
+#include <algorithm>
 #include <mutex>
 #include <utility>
 
@@ -27,8 +28,30 @@ HoareMonitor::HoareMonitor(core::MonitorSpec spec, const util::Clock& clock,
 }
 
 trace::SymbolId HoareMonitor::proc_of(trace::Pid pid) const {
-  const auto it = inside_proc_.find(pid);
-  return it == inside_proc_.end() ? trace::kNoSymbol : it->second;
+  for (const InsideProc& inside : inside_proc_) {
+    if (inside.pid == pid) return inside.proc;
+  }
+  return trace::kNoSymbol;
+}
+
+void HoareMonitor::set_inside(trace::Pid pid, trace::SymbolId proc) {
+  for (InsideProc& inside : inside_proc_) {
+    if (inside.pid == pid) {
+      inside.proc = proc;
+      return;
+    }
+  }
+  inside_proc_.push_back({pid, proc});
+}
+
+void HoareMonitor::clear_inside(trace::Pid pid) {
+  for (InsideProc& inside : inside_proc_) {
+    if (inside.pid == pid) {
+      inside = inside_proc_.back();
+      inside_proc_.pop_back();
+      return;
+    }
+  }
 }
 
 void HoareMonitor::record(const trace::EventRecord& event) {
@@ -75,35 +98,45 @@ std::int64_t HoareMonitor::resources() const {
   return resources_;
 }
 
+std::vector<HoareMonitor::Hold>::iterator HoareMonitor::hold_slot(
+    trace::Pid pid) {
+  return std::lower_bound(
+      holds_.begin(), holds_.end(), pid,
+      [](const Hold& hold, trace::Pid key) { return hold.pid < key; });
+}
+
 void HoareMonitor::note_hold(trace::Pid pid) {
   std::lock_guard<sync::SpinLock> lock(mu_);
-  auto [it, inserted] = holds_.try_emplace(pid);
-  if (inserted) {
-    it->second.since = now();
-    it->second.ticket = ++next_ticket_;
+  auto it = hold_slot(pid);
+  if (it == holds_.end() || it->pid != pid) {
+    it = holds_.insert(it, Hold{pid, 0, now(), ++next_ticket_});
   }
-  ++it->second.units;
+  ++it->units;
 }
 
 void HoareMonitor::note_release(trace::Pid pid) {
   std::lock_guard<sync::SpinLock> lock(mu_);
-  auto it = holds_.find(pid);
-  if (it == holds_.end()) return;  // release-before-acquire client bug
-  if (--it->second.units <= 0) holds_.erase(it);
+  auto it = hold_slot(pid);
+  if (it == holds_.end() || it->pid != pid) {
+    return;  // release-before-acquire client bug
+  }
+  if (--it->units <= 0) holds_.erase(it);
 }
 
 Status HoareMonitor::enter(trace::Pid pid, trace::SymbolId proc_id) {
-  Waiter self{pid, proc_id, 0, 0, false, {}};
-  bool must_park = false;
+  // Built only on the paths that park: an uncontended Enter neither
+  // constructs nor destroys a semaphore.
+  std::optional<Waiter> self;
   {
     std::optional<sync::CheckerGate::SharedScope> gate_scope;
     if (instrumentation_ == Instrumentation::kFull) gate_scope.emplace(gate_);
     std::lock_guard<sync::SpinLock> lock(mu_);
     if (poisoned_) return Status::kPoisoned;
+    const util::TimeNs t = now();
 
     // Fault I.a.4: run inside without Enter being observed.
     if (injection_->fire(FaultKind::kEnterNotObserved, pid)) {
-      inside_proc_[pid] = proc_id;
+      set_inside(pid, proc_id);
       return Status::kOk;
     }
 
@@ -112,27 +145,25 @@ Status HoareMonitor::enter(trace::Pid pid, trace::SymbolId proc_id) {
     // Fault I.a.1: entry granted although the monitor is occupied.
     if (busy &&
         injection_->fire(FaultKind::kEnterMutualExclusionViolation, pid)) {
-      record(EventRecord::enter(pid, proc_id, true, now()));
-      inside_proc_[pid] = proc_id;
+      record(EventRecord::enter(pid, proc_id, true, t));
+      set_inside(pid, proc_id);
       return Status::kOk;
     }
 
     if (!busy) {
       // Fault I.a.3: blocked although the monitor is free.
       if (injection_->fire(FaultKind::kEnterNoResponse, pid)) {
-        record(EventRecord::enter(pid, proc_id, false, now()));
-        self.since = now();
-        self.ticket = ++next_ticket_;
+        record(EventRecord::enter(pid, proc_id, false, t));
+        Waiter& waiter = self.emplace(pid, proc_id, t, ++next_ticket_);
         entry_queue_.push_back(
-            {pid, proc_id, self.since, self.ticket, &self, false});
-        must_park = true;
+            {pid, proc_id, t, waiter.ticket, &waiter, false});
       } else {
         owner_ = pid;
         owner_proc_ = proc_id;
-        owner_since_ = now();
+        owner_since_ = t;
         owner_ticket_ = ++next_ticket_;
-        inside_proc_[pid] = proc_id;
-        record(EventRecord::enter(pid, proc_id, true, now()));
+        set_inside(pid, proc_id);
+        record(EventRecord::enter(pid, proc_id, true, t));
         return Status::kOk;
       }
     } else {
@@ -142,31 +173,29 @@ Status HoareMonitor::enter(trace::Pid pid, trace::SymbolId proc_id) {
       // what lets a poisoned monitor drain back to service.  No event is
       // recorded: the rejection is out-of-band, like the eviction.
       if (recovery_poisoned_) return Status::kRecoveryFault;
-      record(EventRecord::enter(pid, proc_id, false, now()));
+      record(EventRecord::enter(pid, proc_id, false, t));
       // Fault I.a.2: the request is recorded but then lost.
       if (injection_->fire(FaultKind::kEnterRequestLost, pid)) {
-        lost_waiters_.push_back(&self);
-        must_park = true;
+        lost_waiters_.push_back(&self.emplace(pid, proc_id, 0, 0));
       } else {
-        self.since = now();
-        self.ticket = ++next_ticket_;
+        Waiter& waiter = self.emplace(pid, proc_id, t, ++next_ticket_);
         entry_queue_.push_back(
-            {pid, proc_id, self.since, self.ticket, &self, false});
-        must_park = true;
+            {pid, proc_id, t, waiter.ticket, &waiter, false});
       }
     }
   }
-  if (must_park) {
-    const auto result = self.sem.acquire();
-    if (result == sync::AcquireResult::kPoisoned) return Status::kPoisoned;
-    if (self.recovery) return Status::kRecoveryFault;
+  return self ? park(*self) : Status::kOk;
+}
+
+Status HoareMonitor::park(Waiter& self) {
+  if (self.sem.acquire() == sync::AcquireResult::kPoisoned) {
+    return Status::kPoisoned;
   }
-  return Status::kOk;
+  return self.recovery ? Status::kRecoveryFault : Status::kOk;
 }
 
 Status HoareMonitor::wait(trace::Pid pid, trace::SymbolId cond) {
-  Waiter self{pid, trace::kNoSymbol, 0, 0, false, {}};
-  bool must_park = false;
+  Waiter self(pid, trace::kNoSymbol, 0, 0);
   {
     std::optional<sync::CheckerGate::SharedScope> gate_scope;
     if (instrumentation_ == Instrumentation::kFull) gate_scope.emplace(gate_);
@@ -178,14 +207,15 @@ Status HoareMonitor::wait(trace::Pid pid, trace::SymbolId cond) {
       // there is nobody to hand off to).
       if (owner_ && *owner_ == pid) {
         owner_.reset();
-        inside_proc_.erase(pid);
+        clear_inside(pid);
       }
       return Status::kRecoveryFault;
     }
 
+    const util::TimeNs t = now();
     const trace::SymbolId proc_id = proc_of(pid);
     self.proc = proc_id;
-    record(EventRecord::wait(pid, proc_id, cond, now()));
+    record(EventRecord::wait(pid, proc_id, cond, t));
 
     // Fault I.b.1: not blocked; continues inside without releasing.
     if (injection_->fire(FaultKind::kWaitNoBlock, pid)) {
@@ -197,11 +227,10 @@ Status HoareMonitor::wait(trace::Pid pid, trace::SymbolId cond) {
     if (lost) {
       lost_waiters_.push_back(&self);
     } else {
-      self.since = now();
+      self.since = t;
       self.ticket = ++next_ticket_;
       cond_queues_[cond].push_back(&self);
     }
-    must_park = true;
 
     if (owner_ && *owner_ == pid) {
       // Fault I.b.6: blocked but the monitor is not released.
@@ -209,7 +238,7 @@ Status HoareMonitor::wait(trace::Pid pid, trace::SymbolId cond) {
         // owner_ deliberately left pointing at the blocked process.
       } else {
         owner_.reset();
-        inside_proc_.erase(pid);
+        clear_inside(pid);
         // Fault I.b.3: entry waiters not resumed on wait (arming requires
         // an actual entry waiter).
         if (entry_queue_.empty() ||
@@ -220,19 +249,14 @@ Status HoareMonitor::wait(trace::Pid pid, trace::SymbolId cond) {
               injection_->fire(FaultKind::kWaitMutualExclusionViolation, pid);
           Waiter* admitted = nullptr;
           Waiter* ghost = nullptr;
-          admit_from_entry_queue(extra, &admitted, &ghost);
+          admit_from_entry_queue(extra, t, &admitted, &ghost);
           if (admitted != nullptr) admitted->sem.release();
           if (ghost != nullptr) ghost->sem.release();
         }
       }
     }
   }
-  if (must_park) {
-    const auto result = self.sem.acquire();
-    if (result == sync::AcquireResult::kPoisoned) return Status::kPoisoned;
-    if (self.recovery) return Status::kRecoveryFault;
-  }
-  return Status::kOk;
+  return park(self);
 }
 
 HoareMonitor::Waiter* HoareMonitor::pop_admittable() {
@@ -256,13 +280,13 @@ HoareMonitor::Waiter* HoareMonitor::resume_ghost_from_entry_queue() {
     Waiter* waiter = entry.waiter;
     entry.zombie = true;
     entry.waiter = nullptr;
-    inside_proc_[entry.pid] = entry.proc;
+    set_inside(entry.pid, entry.proc);
     return waiter;
   }
   return nullptr;
 }
 
-void HoareMonitor::admit_from_entry_queue(bool extra,
+void HoareMonitor::admit_from_entry_queue(bool extra, util::TimeNs t,
                                           HoareMonitor::Waiter** admitted,
                                           HoareMonitor::Waiter** ghost) {
   *admitted = nullptr;
@@ -271,9 +295,9 @@ void HoareMonitor::admit_from_entry_queue(bool extra,
   if (waiter == nullptr) return;
   owner_ = waiter->pid;
   owner_proc_ = waiter->proc;
-  owner_since_ = now();
+  owner_since_ = t;
   owner_ticket_ = ++next_ticket_;
-  inside_proc_[waiter->pid] = waiter->proc;
+  set_inside(waiter->pid, waiter->proc);
   *admitted = waiter;
   if (extra) *ghost = resume_ghost_from_entry_queue();
 }
@@ -292,6 +316,7 @@ void HoareMonitor::signal_exit_impl(trace::Pid pid, trace::SymbolId cond,
     if (injection_->fire(FaultKind::kTerminationInsideMonitor, pid)) {
       return;
     }
+    const util::TimeNs t = now();
 
     if (track_resources_) resources_ += resource_delta;
 
@@ -320,9 +345,9 @@ void HoareMonitor::signal_exit_impl(trace::Pid pid, trace::SymbolId cond,
                                     !suppress_resume && cond_queue != nullptr &&
                                     !cond_queue->empty();
 
-    record(EventRecord::signal_exit(pid, proc_id, cond, resume_cond_waiter,
-                                    now()));
-    inside_proc_.erase(pid);
+    record(
+        EventRecord::signal_exit(pid, proc_id, cond, resume_cond_waiter, t));
+    clear_inside(pid);
 
     if (is_owner && !keep_lock) {
       if (resume_cond_waiter && semantics_ == Semantics::kMesaSignalContinue) {
@@ -330,18 +355,18 @@ void HoareMonitor::signal_exit_impl(trace::Pid pid, trace::SymbolId cond,
         // the entry queue; the monitor itself is released to the EQ head.
         Waiter* waiter = cond_queue->front();
         cond_queue->pop_front();
-        entry_queue_.push_back({waiter->pid, waiter->proc, now(),
-                                ++next_ticket_, waiter, false});
+        entry_queue_.push_back(
+            {waiter->pid, waiter->proc, t, ++next_ticket_, waiter, false});
         owner_.reset();
-        admit_from_entry_queue(false, &wake_first, &wake_second);
+        admit_from_entry_queue(false, t, &wake_first, &wake_second);
       } else if (resume_cond_waiter) {
         Waiter* waiter = cond_queue->front();
         cond_queue->pop_front();
         owner_ = waiter->pid;
         owner_proc_ = waiter->proc;
-        owner_since_ = now();
+        owner_since_ = t;
         owner_ticket_ = ++next_ticket_;
-        inside_proc_[waiter->pid] = waiter->proc;
+        set_inside(waiter->pid, waiter->proc);
         wake_first = waiter;
         // Fault I.c.3: additionally resume an entry waiter without
         // removing its queue slot (notify-too-many).
@@ -357,7 +382,7 @@ void HoareMonitor::signal_exit_impl(trace::Pid pid, trace::SymbolId cond,
               entry_queue_.size() >= 2 &&
               injection_->fire(
                   FaultKind::kSignalExitMutualExclusionViolation, pid);
-          admit_from_entry_queue(extra, &wake_first, &wake_second);
+          admit_from_entry_queue(extra, t, &wake_first, &wake_second);
         }
       }
     }
@@ -388,8 +413,8 @@ trace::SchedulingState HoareMonitor::snapshot() const {
   } else {
     state.resources = resource_gauge_ ? resource_gauge_() : -1;
   }
-  for (const auto& [pid, hold] : holds_) {  // std::map: already pid-sorted
-    state.holders.push_back({pid, hold.units, hold.since, hold.ticket});
+  for (const Hold& hold : holds_) {  // kept pid-sorted
+    state.holders.push_back({hold.pid, hold.units, hold.since, hold.ticket});
   }
   if (owner_) {
     state.running = *owner_;

@@ -11,6 +11,12 @@
 // (Hoare hand-off), so there is never a moment when the monitor is free but
 // claimed.  poison() releases every parked waiter with kPoisoned so that
 // fault-injection tests can unwind cleanly.
+//
+// Hot path: each instrumented primitive costs one checker-gate shared pair,
+// one spinlock pair, one clock read (taken under the spinlock and reused for
+// the event time, ownership and queue timestamps) and one EventLog append,
+// and allocates nothing in steady state — the per-pid tables are small flat
+// vectors that keep their capacity.
 #pragma once
 
 #include <cstdint>
@@ -166,6 +172,10 @@ class HoareMonitor : public EventSink {
 
  private:
   struct Waiter {
+    Waiter(trace::Pid pid, trace::SymbolId proc, util::TimeNs since,
+           std::uint64_t ticket)
+        : pid(pid), proc(proc), since(since), ticket(ticket) {}
+
     trace::Pid pid;
     trace::SymbolId proc;
     util::TimeNs since;
@@ -190,24 +200,41 @@ class HoareMonitor : public EventSink {
     bool zombie = false;
   };
 
+  /// The procedure a pid inside the monitor is executing.
+  struct InsideProc {
+    trace::Pid pid;
+    trace::SymbolId proc;
+  };
+
   /// One pid's outstanding resource holds (note_hold registry).
   struct Hold {
+    trace::Pid pid;
     std::int64_t units = 0;
     util::TimeNs since = 0;       ///< Start of the oldest outstanding hold.
     std::uint64_t ticket = 0;     ///< Episode ticket of that oldest hold.
   };
 
   util::TimeNs now() const { return clock_->now_ns(); }
-  trace::SymbolId proc_of(trace::Pid pid) const;  // callers hold mu_
+  /// Block on the waiter's semaphore until handed the monitor (or woken by
+  /// poison or recovery); reports which.
+  static Status park(Waiter& self);
+  // Per-pid tables; callers hold mu_.
+  trace::SymbolId proc_of(trace::Pid pid) const;
+  void set_inside(trace::Pid pid, trace::SymbolId proc);
+  void clear_inside(trace::Pid pid);
+  /// First hold with pid >= `pid` (insertion point when absent).
+  std::vector<Hold>::iterator hold_slot(trace::Pid pid);
   void record(const trace::EventRecord& event);
   /// Pop the first admittable entry waiter; nullptr when none.  mu_ held.
   Waiter* pop_admittable();
   /// Injected notify-too-many: resume the first admittable entry waiter
   /// but leave its (zombie) slot on the queue.  mu_ held.
   Waiter* resume_ghost_from_entry_queue();
-  /// Admit the entry-queue head as owner (+ optional ghost).  mu_ held;
-  /// the returned waiters' semaphores must be released after unlocking.
-  void admit_from_entry_queue(bool extra, Waiter** admitted, Waiter** ghost);
+  /// Admit the entry-queue head as owner at time `t` (+ optional ghost).
+  /// mu_ held; the returned waiters' semaphores must be released after
+  /// unlocking.
+  void admit_from_entry_queue(bool extra, util::TimeNs t, Waiter** admitted,
+                              Waiter** ghost);
   void signal_exit_impl(trace::Pid pid, trace::SymbolId cond,
                         std::int64_t resource_delta);
 
@@ -231,9 +258,10 @@ class HoareMonitor : public EventSink {
   std::uint64_t owner_ticket_ = 0;  ///< Episode ticket of this ownership.
   std::deque<EqEntry> entry_queue_;
   std::map<trace::SymbolId, std::deque<Waiter*>> cond_queues_;
-  std::map<trace::Pid, trace::SymbolId> inside_proc_;
+  /// Unordered: one slot per pid inside (or admitted to) the monitor.
+  std::vector<InsideProc> inside_proc_;
   std::vector<Waiter*> lost_waiters_;  ///< Parked forever by injection.
-  std::map<trace::Pid, Hold> holds_;
+  std::vector<Hold> holds_;  ///< Sorted by pid (snapshot().holders order).
   /// Monotonic episode counter: bumped once per blocking episode (a park on
   /// EQ or a CQ), per ownership hand-off, and per first resource hold.  It
   /// makes episode identity clock-independent — snapshots taken under a

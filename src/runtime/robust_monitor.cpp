@@ -59,22 +59,35 @@ RobustMonitor::~RobustMonitor() {
   }
 }
 
+pathexpr::Matcher& RobustMonitor::matcher_for(trace::Pid pid) {
+  for (auto& [owner, matcher] : matchers_) {
+    if (owner == pid) return matcher;
+  }
+  return matchers_.emplace_back(pid, order_spec_->matcher()).second;
+}
+
 void RobustMonitor::advance_order_matcher(trace::Pid pid,
+                                          trace::SymbolId proc,
                                           const std::string& procedure) {
   if (!order_spec_) return;
   pathexpr::MatchResult result;
   {
     std::lock_guard<std::mutex> lock(matchers_mu_);
-    auto [it, inserted] = matchers_.try_emplace(pid, order_spec_->matcher());
-    result = it->second.advance(procedure);
-    if (result == pathexpr::MatchResult::kViolation) it->second.reset();
+    const auto slot = static_cast<std::size_t>(proc);
+    if (slot >= dfa_index_.size()) dfa_index_.resize(slot + 1, kUnresolved);
+    if (dfa_index_[slot] == kUnresolved) {
+      dfa_index_[slot] = order_spec_->dfa().symbol_index(procedure);
+    }
+    pathexpr::Matcher& matcher = matcher_for(pid);
+    result = matcher.advance_index(dfa_index_[slot]);
+    if (result == pathexpr::MatchResult::kViolation) matcher.reset();
   }
   if (result != pathexpr::MatchResult::kViolation) return;
 
   core::FaultReport report;
   report.rule = core::RuleId::kRealTimeOrder;
   report.pid = pid;
-  report.proc = monitor_.symbols().find(procedure);
+  report.proc = proc;
   report.detected_at = options_.clock->now_ns();
   if (procedure == spec().release_procedure) {
     report.suspected = core::FaultKind::kReleaseBeforeAcquire;
@@ -90,8 +103,9 @@ void RobustMonitor::advance_order_matcher(trace::Pid pid,
 Status RobustMonitor::enter(trace::Pid pid, const std::string& procedure) {
   // Real-time phase: check the declared partial order before admission
   // (Section 3.3: "real-time checking of calling orders").
-  advance_order_matcher(pid, procedure);
-  const Status status = monitor_.enter(pid, procedure);
+  const trace::SymbolId proc = monitor_.symbols().intern(procedure);
+  advance_order_matcher(pid, proc, procedure);
+  const Status status = monitor_.enter(pid, proc);
   // A recovery eviction/rejection aborts the caller's protocol sequence
   // mid-call: the matcher advanced for a procedure that never completed,
   // and the caller is told to retry from scratch — so the matcher must
@@ -110,8 +124,9 @@ Status RobustMonitor::wait(trace::Pid pid, const std::string& cond) {
 void RobustMonitor::reset_order_matcher(trace::Pid pid) {
   if (!order_spec_) return;
   std::lock_guard<std::mutex> lock(matchers_mu_);
-  const auto it = matchers_.find(pid);
-  if (it != matchers_.end()) it->second.reset();
+  for (auto& [owner, matcher] : matchers_) {
+    if (owner == pid) matcher.reset();
+  }
 }
 
 void RobustMonitor::signal_exit(trace::Pid pid, const std::string& cond) {

@@ -17,11 +17,11 @@
 #pragma once
 
 #include <atomic>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/detector.hpp"
@@ -155,7 +155,12 @@ class RobustMonitor {
   /// the checker-gate quiesce.
   void poll_inline_check();
 
-  void advance_order_matcher(trace::Pid pid, const std::string& procedure);
+  /// `proc` is `procedure` interned; the name is only read the first time
+  /// `proc` is seen and to word a violation report.
+  void advance_order_matcher(trace::Pid pid, trace::SymbolId proc,
+                             const std::string& procedure);
+  /// `pid`'s matcher, created on first use.  matchers_mu_ held.
+  pathexpr::Matcher& matcher_for(trace::Pid pid);
   /// Restart `pid`'s calling-order matcher after a recovery fault aborted
   /// its in-flight procedure (the caller retries the protocol from
   /// scratch, so the declared order restarts with it).
@@ -179,7 +184,12 @@ class RobustMonitor {
   /// Real-time phase state (allocator monitors / any declared order).
   std::optional<pathexpr::CallOrderSpec> order_spec_;
   std::mutex matchers_mu_;
-  std::map<trace::Pid, pathexpr::Matcher> matchers_;
+  /// One cursor per client pid; a handful of pids, so a linear scan.
+  std::vector<std::pair<trace::Pid, pathexpr::Matcher>> matchers_;
+  /// DFA alphabet index per SymbolId (Dfa::symbol_index; kUnresolved until
+  /// first seen), so advancing a matcher never compares names.
+  static constexpr std::int32_t kUnresolved = -2;
+  std::vector<std::int32_t> dfa_index_;
 
   mutable std::mutex checkpoints_mu_;
   std::vector<trace::SchedulingState> checkpoints_;

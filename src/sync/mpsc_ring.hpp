@@ -111,6 +111,13 @@ class MpscRing {
 
   std::size_t capacity() const { return capacity_; }
 
+  /// Slots ever claimed, i.e. successful try_push calls: the claim cursor
+  /// only advances on a claim that the push then completes.  Readable from
+  /// any thread; exact once producers are quiesced.
+  std::uint64_t claimed() const {
+    return head_.load(std::memory_order_relaxed);
+  }
+
   /// Claimed-minus-consumed estimate; exact when producers are quiesced.
   std::size_t size_estimate() const {
     const std::uint64_t head = head_.load(std::memory_order_relaxed);

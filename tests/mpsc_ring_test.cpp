@@ -122,5 +122,46 @@ TEST(MpscRingTest, ConcurrentProducersSingleConsumerLossless) {
   for (const std::uint64_t n : next) EXPECT_EQ(n, kPerProducer);
 }
 
+// claimed() is the ring's accepted-push count (EventLog derives
+// total_appended() from it): with racing producers, a concurrent consumer
+// and pushes rejected by a full ring, it equals the successful try_push
+// calls exactly, and claimed minus consumed is what is still buffered.
+TEST(MpscRingTest, ClaimedCountsExactlyTheAcceptedPushes) {
+  constexpr std::uint64_t kProducers = 4;
+  constexpr std::uint64_t kAttempts = 20000;
+  MpscRing<std::uint64_t> ring(64);
+
+  std::atomic<bool> done{false};
+  std::uint64_t consumed = 0;
+  std::thread consumer([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      consumed += ring.consume([](std::uint64_t) {}, 16);
+      std::this_thread::yield();
+    }
+  });
+
+  std::atomic<std::uint64_t> accepted{0};
+  std::atomic<std::uint64_t> rejected{0};
+  std::vector<std::thread> producers;
+  for (std::uint64_t p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&] {
+      for (std::uint64_t i = 0; i < kAttempts; ++i) {
+        (ring.try_push(i) ? accepted : rejected)
+            .fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  for (auto& t : producers) t.join();
+  done.store(true, std::memory_order_release);
+  consumer.join();
+
+  EXPECT_EQ(accepted.load() + rejected.load(), kProducers * kAttempts);
+  EXPECT_EQ(ring.claimed(), accepted.load());
+  EXPECT_EQ(ring.claimed() - consumed, ring.size_estimate());
+  consumed += ring.consume([](std::uint64_t) {});
+  EXPECT_EQ(consumed, ring.claimed());
+  EXPECT_EQ(ring.size_estimate(), 0u);
+}
+
 }  // namespace
 }  // namespace robmon::sync

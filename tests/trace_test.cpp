@@ -340,17 +340,58 @@ TEST(EventLogTest, ConcurrentOverflowAccountingIsExactUnderStalledDrain) {
   EXPECT_EQ(log.drain().size(), 1u);
 }
 
-TEST(EventLogTest, LockedBackendStillDrainsLosslessly) {
-  EventLog::Options options;
-  options.backend = EventLog::Backend::kLocked;
-  EventLog log(options);
-  EXPECT_EQ(log.backend(), EventLog::Backend::kLocked);
-  for (int i = 0; i < 100; ++i) {
-    log.append(EventRecord::enter(1, 0, true, i));
+// total_appended() is derived from the rings' claim cursors plus the spill
+// count, so the loss identity and pending() are checked on each of the three
+// append paths — ring only, ring + overflow spill, ring + spill + drop —
+// with racing producers and drains interleaved between rounds.
+TEST(EventLogTest, DerivedCountsHoldOnRingSpillAndDropPaths) {
+  struct Path {
+    const char* name;
+    std::size_t ring_capacity;
+    std::size_t overflow_capacity;
+    bool expect_loss;
+  };
+  constexpr std::uint64_t kThreads = 4;
+  constexpr std::uint64_t kPerThread = 500;
+  constexpr std::uint64_t kRounds = 3;
+  constexpr std::uint64_t kPerRound = kThreads * kPerThread;
+  for (const Path path : {Path{"ring", 1 << 12, 1 << 12, false},
+                          Path{"spill", 64, 1 << 12, false},
+                          Path{"drop", 64, 64, true}}) {
+    SCOPED_TRACE(path.name);
+    EventLog::Options options;
+    options.shards = 2;
+    options.ring_capacity = path.ring_capacity;
+    options.overflow_capacity = path.overflow_capacity;
+    EventLog log(options);
+    std::uint64_t drained = 0;
+    for (std::uint64_t round = 1; round <= kRounds; ++round) {
+      std::vector<std::thread> threads;
+      for (std::uint64_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&log, t] {
+          for (std::uint64_t i = 0; i < kPerThread; ++i) {
+            log.append(EventRecord::enter(static_cast<Pid>(t), 0, true,
+                                          static_cast<long>(i)));
+          }
+        });
+      }
+      for (auto& thread : threads) thread.join();
+      const std::uint64_t calls = round * kPerRound;
+      ASSERT_EQ(log.total_appended() + log.events_lost(), calls);
+      EXPECT_EQ(log.pending(), log.total_appended() - drained);
+      if (path.expect_loss) {
+        EXPECT_GT(log.events_lost(), 0u);
+      } else {
+        // On the spill path a round outgrows both rings, so the lossless
+        // total proves events went through the overflow list.
+        EXPECT_EQ(log.events_lost(), 0u);
+        EXPECT_EQ(log.pending(), kPerRound);
+      }
+      drained += log.drain().size();
+      EXPECT_EQ(drained, log.total_appended());
+      EXPECT_EQ(log.pending(), 0u);
+    }
   }
-  EXPECT_EQ(log.events_lost(), 0u);
-  EXPECT_EQ(log.drain().size(), 100u);
-  EXPECT_EQ(log.pending(), 0u);
 }
 
 SchedulingState sample_state() {
