@@ -2,8 +2,8 @@
 // engine.
 //
 // The paper's fault-detection routine (Fig. 1) is specified per monitor, and
-// the first runtime mirrored that: one PeriodicChecker thread per
-// RobustMonitor.  A process with M monitors then pays M mostly-idle threads.
+// the first runtime mirrored that: one checking thread per RobustMonitor.
+// A process with M monitors then pays M mostly-idle threads.
 // The pool inverts the structure: K worker threads (K bounded by hardware
 // concurrency, configurable) share a min-heap of registered monitors ordered
 // by next check deadline (spec.check_period cadence).  When a monitor comes
@@ -173,11 +173,10 @@ class CheckerPool {
     std::size_t threads = 0;
     /// Supplies the timestamps the detection rules evaluate against (Tmax,
     /// Tio, Tlimit).  The check *cadence* is always the backend wall clock,
-    /// like the original PeriodicChecker loop, so a frozen ManualClock
-    /// cannot stall periodic checking.  Defaults to the sync backend's
-    /// clock: real steady_clock normally, the SimScheduler's virtual clock
-    /// under ROBMON_SYNC_BACKEND_SIM — rules and cadence then share one
-    /// deterministic timeline.
+    /// so a frozen ManualClock cannot stall periodic checking.  Defaults to
+    /// the sync backend's clock: real steady_clock normally, the
+    /// SimScheduler's virtual clock under ROBMON_SYNC_BACKEND_SIM — rules
+    /// and cadence then share one deterministic timeline.
     const util::Clock* clock = sync::backend_clock();
     /// Batch window W: a dispatching worker also drains monitors due within
     /// W of now, amortizing wake-ups across near-simultaneous deadlines.
@@ -230,7 +229,7 @@ class CheckerPool {
     kInline,     ///< Calling thread, polled at monitor-exit points.
   };
 
-  /// Per-monitor policy — the knobs PeriodicChecker::Options exposed.
+  /// Per-monitor checking policy.
   struct MonitorOptions {
     /// Keep monitor traffic suspended while the algorithms run (paper
     /// behaviour).  false = release the gate right after the snapshot.

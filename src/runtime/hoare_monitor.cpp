@@ -63,6 +63,13 @@ void HoareMonitor::set_resource_gauge(std::function<std::int64_t()> gauge) {
   resource_gauge_ = std::move(gauge);
 }
 
+void HoareMonitor::enable_state_trace() {
+  std::lock_guard<sync::SpinLock> lock(mu_);
+  state_trace_enabled_ = true;
+  state_trace_.clear();
+  state_trace_.push_back(snapshot_locked(now()));
+}
+
 Status HoareMonitor::enter(trace::Pid pid, const std::string& procedure) {
   return enter(pid, symbols_.intern(procedure));
 }
@@ -147,6 +154,7 @@ Status HoareMonitor::enter(trace::Pid pid, trace::SymbolId proc_id) {
         injection_->fire(FaultKind::kEnterMutualExclusionViolation, pid)) {
       record(EventRecord::enter(pid, proc_id, true, t));
       set_inside(pid, proc_id);
+      trace_state(t);
       return Status::kOk;
     }
 
@@ -164,6 +172,7 @@ Status HoareMonitor::enter(trace::Pid pid, trace::SymbolId proc_id) {
         owner_ticket_ = ++next_ticket_;
         set_inside(pid, proc_id);
         record(EventRecord::enter(pid, proc_id, true, t));
+        trace_state(t);
         return Status::kOk;
       }
     } else {
@@ -183,6 +192,7 @@ Status HoareMonitor::enter(trace::Pid pid, trace::SymbolId proc_id) {
             {pid, proc_id, t, waiter.ticket, &waiter, false});
       }
     }
+    trace_state(t);
   }
   return self ? park(*self) : Status::kOk;
 }
@@ -219,6 +229,7 @@ Status HoareMonitor::wait(trace::Pid pid, trace::SymbolId cond) {
 
     // Fault I.b.1: not blocked; continues inside without releasing.
     if (injection_->fire(FaultKind::kWaitNoBlock, pid)) {
+      trace_state(t);
       return Status::kOk;
     }
 
@@ -255,6 +266,7 @@ Status HoareMonitor::wait(trace::Pid pid, trace::SymbolId cond) {
         }
       }
     }
+    trace_state(t);
   }
   return park(self);
 }
@@ -386,6 +398,7 @@ void HoareMonitor::signal_exit_impl(trace::Pid pid, trace::SymbolId cond,
         }
       }
     }
+    trace_state(t);
   }
   if (wake_first != nullptr) wake_first->sem.release();
   if (wake_second != nullptr) wake_second->sem.release();
@@ -393,8 +406,12 @@ void HoareMonitor::signal_exit_impl(trace::Pid pid, trace::SymbolId cond,
 
 trace::SchedulingState HoareMonitor::snapshot() const {
   std::lock_guard<sync::SpinLock> lock(mu_);
+  return snapshot_locked(now());
+}
+
+trace::SchedulingState HoareMonitor::snapshot_locked(util::TimeNs t) const {
   trace::SchedulingState state;
-  state.captured_at = now();
+  state.captured_at = t;
   for (const EqEntry& entry : entry_queue_) {
     state.entry_queue.push_back(
         {entry.pid, entry.proc, entry.since, entry.ticket});

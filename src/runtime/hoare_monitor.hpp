@@ -137,6 +137,17 @@ class HoareMonitor : public EventSink {
   /// R# source for coordinator monitors (e.g. free buffer slots).
   void set_resource_gauge(std::function<std::int64_t()> gauge);
 
+  /// Record the scheduling state after *every* event (the paper's T=1
+  /// real-time mode), for FD-Rule validation: each locked section that
+  /// records an event also appends the state it leaves behind, so
+  /// state_trace().size() == events recorded since enabling + 1 (the
+  /// current state is captured as the initial element).  Off by default;
+  /// read state_trace() only once traffic has stopped.
+  void enable_state_trace();
+  const std::vector<trace::SchedulingState>& state_trace() const {
+    return state_trace_;
+  }
+
   /// Release every parked waiter with kPoisoned (teardown after injected
   /// faults left threads blocked).
   void poison();
@@ -225,6 +236,15 @@ class HoareMonitor : public EventSink {
   /// First hold with pid >= `pid` (insertion point when absent).
   std::vector<Hold>::iterator hold_slot(trace::Pid pid);
   void record(const trace::EventRecord& event);
+  /// snapshot() body, stamped `t`.  mu_ held.
+  trace::SchedulingState snapshot_locked(util::TimeNs t) const;
+  /// T=1 mode: append the post-event state.  mu_ held; with the trace off
+  /// this is the primitive's only cost of the mode — one branch.
+  void trace_state(util::TimeNs t) {
+    if (state_trace_enabled_) [[unlikely]] {
+      state_trace_.push_back(snapshot_locked(t));
+    }
+  }
   /// Pop the first admittable entry waiter; nullptr when none.  mu_ held.
   Waiter* pop_admittable();
   /// Injected notify-too-many: resume the first admittable entry waiter
@@ -274,6 +294,8 @@ class HoareMonitor : public EventSink {
   bool poisoned_ = false;
   /// Sticky recovery-poison state (recovery_poison()/unpoison()).
   bool recovery_poisoned_ = false;
+  bool state_trace_enabled_ = false;
+  std::vector<trace::SchedulingState> state_trace_;
 };
 
 }  // namespace robmon::rt

@@ -43,11 +43,16 @@
 #include <string>
 #include <vector>
 
-#include "sync/schedule_policy.hpp"
 #include "util/clock.hpp"
 #include "util/rng.hpp"
 
 namespace robmon::sync {
+
+/// How SimScheduler picks the next fiber to resume.
+enum class SchedulePolicy {
+  kFifo,    ///< Round-robin over runnable fibers.
+  kRandom,  ///< Uniform random pick among runnable fibers (seeded).
+};
 
 class SimScheduler {
  public:

@@ -1,237 +1,305 @@
 #include "workloads/sim_scenarios.hpp"
 
-#include <algorithm>
-#include <memory>
+#include <stdexcept>
 
-#include "core/detector.hpp"
-#include "core/fd_rules.hpp"
-#include "core/monitor_spec.hpp"
+#if !defined(ROBMON_SYNC_BACKEND_SIM)
 
 namespace robmon::wl {
 
+namespace {
+
+[[noreturn]] void require_sim_backend() {
+  throw std::logic_error(
+      "coverage trials require the SimBackend build "
+      "(link robmon_sim / compile with ROBMON_SYNC_BACKEND_SIM)");
+}
+
+}  // namespace
+
+CoverageOutcome run_coverage_trial(core::FaultKind, std::uint64_t,
+                                   const CoverageConfig&) {
+  require_sim_backend();
+}
+
+std::size_t run_fault_free_trial(core::MonitorType, std::uint64_t,
+                                 const CoverageConfig&) {
+  require_sim_backend();
+}
+
+FdTrialResult run_fd_trial(std::optional<core::FaultKind>, std::uint64_t,
+                           const CoverageConfig&) {
+  require_sim_backend();
+}
+
+}  // namespace robmon::wl
+
+#else  // ROBMON_SYNC_BACKEND_SIM
+
+#include <algorithm>
+#include <vector>
+
+#include "core/detector.hpp"
+#include "core/fd_rules.hpp"
+#include "inject/catalog.hpp"
+#include "inject/injection.hpp"
+#include "runtime/checker_pool.hpp"
+#include "runtime/hoare_monitor.hpp"
+#include "sync/backend.hpp"
+#include "sync/sim_backend.hpp"
+
+namespace robmon::wl {
+
+namespace {
+
 using core::FaultKind;
 using core::MonitorType;
+using rt::Status;
+using util::TimeNs;
 
-sim::Op<> sim_send(sim::SimMonitor& monitor, SimBuffer& buffer,
-                   trace::Pid pid, std::int64_t item,
-                   inject::InjectionController& injection,
-                   util::TimeNs in_monitor_ns) {
-  co_await monitor.enter("Send");
-  if (in_monitor_ns > 0) {
-    co_await monitor.scheduler().delay(in_monitor_ns);
-  }
-  // II.a: delayed although not full / II.d: not delayed although full.
-  // Arming is conditioned on the state where the fault has an effect, so a
-  // one-shot injection is not wasted on a no-op opportunity.
-  const bool force_delay =
-      !buffer.full() && injection.fire(FaultKind::kSendDelayWrong, pid);
-  const bool skip_delay =
-      buffer.full() && injection.fire(FaultKind::kSendExceedsCapacity, pid);
-  if (force_delay || (buffer.full() && !skip_delay)) {
-    co_await monitor.wait("full");
-  }
-  buffer.items.push_back(item);
-  monitor.signal_exit("empty");
+/// Time an allocator client spends inside Acquire / Release.
+constexpr TimeNs kAllocatorInMonitorNs = 50'000;
+
+core::MonitorSpec trial_spec(MonitorType type, const CoverageConfig& config) {
+  const auto capacity = static_cast<std::int64_t>(config.buffer_capacity);
+  core::MonitorSpec spec =
+      type == MonitorType::kCommunicationCoordinator
+          ? core::MonitorSpec::coordinator("cov-buffer", capacity)
+          : core::MonitorSpec::allocator("cov-allocator");
+  spec.t_max = config.t_max;
+  spec.t_io = config.t_io;
+  spec.t_limit = config.t_limit;
+  spec.check_period = config.check_period;
+  return spec;
 }
 
-sim::Op<> sim_receive(sim::SimMonitor& monitor, SimBuffer& buffer,
-                      trace::Pid pid, inject::InjectionController& injection,
-                      util::TimeNs in_monitor_ns) {
-  co_await monitor.enter("Receive");
-  if (in_monitor_ns > 0) {
-    co_await monitor.scheduler().delay(in_monitor_ns);
-  }
-  // II.b: delayed although not empty / II.c: fabricate instead of waiting.
-  const bool force_delay =
-      !buffer.empty() && injection.fire(FaultKind::kReceiveDelayWrong, pid);
-  const bool fabricate =
-      buffer.empty() && injection.fire(FaultKind::kReceiveExceedsSend, pid);
-  if (force_delay || (buffer.empty() && !fabricate)) {
-    co_await monitor.wait("empty");
-  }
-  if (!buffer.items.empty()) {
-    buffer.items.pop_front();
-  }
-  monitor.signal_exit("full");
+void dwell(TimeNs ns) {
+  if (ns > 0) sync::backend_sleep_for(ns);
 }
 
-sim::Process sim_producer(sim::Scheduler& scheduler, sim::SimMonitor& monitor,
-                          SimBuffer& buffer, trace::Pid pid, int operations,
-                          inject::InjectionController& injection,
-                          util::TimeNs in_monitor_ns, util::TimeNs think_ns,
-                          util::TimeNs initial_delay_ns) {
-  if (initial_delay_ns > 0) co_await scheduler.delay(initial_delay_ns);
-  for (int i = 0; i < operations; ++i) {
-    co_await sim_send(monitor, buffer, pid, i, injection, in_monitor_ns);
-    if (think_ns > 0) co_await scheduler.delay(think_ns);
-  }
-}
-
-sim::Process sim_consumer(sim::Scheduler& scheduler, sim::SimMonitor& monitor,
-                          SimBuffer& buffer, trace::Pid pid, int operations,
-                          inject::InjectionController& injection,
-                          util::TimeNs in_monitor_ns, util::TimeNs think_ns,
-                          util::TimeNs initial_delay_ns) {
-  if (initial_delay_ns > 0) co_await scheduler.delay(initial_delay_ns);
-  for (int i = 0; i < operations; ++i) {
-    co_await sim_receive(monitor, buffer, pid, injection, in_monitor_ns);
-    if (think_ns > 0) co_await scheduler.delay(think_ns);
-  }
-}
-
-namespace {
-
-sim::Op<> sim_acquire(sim::SimMonitor& monitor, std::int64_t& units,
-                      util::TimeNs in_monitor_ns) {
-  co_await monitor.enter("Acquire");
-  if (in_monitor_ns > 0) {
-    co_await monitor.scheduler().delay(in_monitor_ns);
-  }
-  if (units == 0) co_await monitor.wait("available");
-  --units;
-  monitor.exit();
-}
-
-sim::Op<> sim_release(sim::SimMonitor& monitor, std::int64_t& units,
-                      util::TimeNs in_monitor_ns) {
-  co_await monitor.enter("Release");
-  if (in_monitor_ns > 0) {
-    co_await monitor.scheduler().delay(in_monitor_ns);
-  }
-  ++units;
-  monitor.signal_exit("available");
-}
-
-}  // namespace
-
-sim::Process sim_allocator_client(sim::Scheduler& scheduler,
-                                  sim::SimMonitor& monitor,
-                                  std::int64_t& units, trace::Pid pid,
-                                  int iterations,
-                                  inject::InjectionController& injection,
-                                  util::TimeNs hold_ns,
-                                  util::TimeNs think_ns) {
-  constexpr util::TimeNs kInMonitorNs = 50'000;
-  for (int i = 0; i < iterations; ++i) {
-    // III.a: release a resource that was never acquired.
-    if (injection.fire(FaultKind::kReleaseBeforeAcquire, pid)) {
-      co_await sim_release(monitor, units, kInMonitorNs);
+/// One trial: the monitor under test, its detector on a one-thread pool,
+/// and the client procedures, all living on one seeded SimScheduler.  The
+/// scheduler is declared first so it is installed before anything else is
+/// built and torn down last.
+class Trial {
+ public:
+  Trial(MonitorType type, std::uint64_t seed, const CoverageConfig& config,
+        inject::InjectionController& injection)
+      : scheduler_({.policy = sync::SchedulePolicy::kRandom, .seed = seed}),
+        type_(type),
+        config_(config),
+        injection_(injection),
+        monitor_(trial_spec(type, config), *sync::backend_clock(), injection),
+        detector_(monitor_.spec(), monitor_.symbols(), sink_),
+        pool_(single_worker()),
+        id_(pool_.add(monitor_, detector_)),
+        units_(config.allocator_units) {
+    if (type_ == MonitorType::kResourceAllocator) {
+      monitor_.set_resource_gauge([this] { return units_; });
     }
-    co_await sim_acquire(monitor, units, kInMonitorNs);
-    // III.c: acquire again while already holding.
-    if (injection.fire(FaultKind::kDoubleAcquireDeadlock, pid)) {
-      co_await sim_acquire(monitor, units, kInMonitorNs);
-    }
-    if (hold_ns > 0) co_await scheduler.delay(hold_ns);
-    // III.b: never release.
-    if (!injection.fire(FaultKind::kResourceNeverReleased, pid)) {
-      co_await sim_release(monitor, units, kInMonitorNs);
-    }
-    if (think_ns > 0) co_await scheduler.delay(think_ns);
-  }
-}
-
-namespace {
-
-struct TrialRig {
-  sim::Scheduler scheduler;
-  core::MonitorSpec spec;
-  std::unique_ptr<sim::SimMonitor> monitor;
-  std::unique_ptr<core::CollectingSink> sink;
-  std::unique_ptr<core::Detector> detector;
-  std::int64_t allocator_units = 0;
-  std::unique_ptr<SimBuffer> buffer;
-
-  TrialRig(MonitorType type, std::uint64_t seed,
-           const CoverageConfig& config,
-           inject::InjectionController& injection)
-      : scheduler(sim::Scheduler::Options{1000, sim::SchedulePolicy::kRandom,
-                                          seed}) {
-    if (type == MonitorType::kCommunicationCoordinator) {
-      spec = core::MonitorSpec::coordinator(
-          "cov-buffer", static_cast<std::int64_t>(config.buffer_capacity));
-    } else {
-      spec = core::MonitorSpec::allocator("cov-allocator");
-    }
-    spec.t_max = config.t_max;
-    spec.t_io = config.t_io;
-    spec.t_limit = config.t_limit;
-    spec.check_period = config.check_period;
-
-    monitor = std::make_unique<sim::SimMonitor>(spec, scheduler, injection);
-    sink = std::make_unique<core::CollectingSink>();
-    detector = std::make_unique<core::Detector>(spec, monitor->symbols(),
-                                                *sink);
-
-    if (type == MonitorType::kCommunicationCoordinator) {
-      buffer = std::make_unique<SimBuffer>();
-      buffer->capacity = config.buffer_capacity;
-      monitor->set_resource_gauge(
-          [state = buffer.get()] { return state->free_slots(); });
-    } else {
-      allocator_units = config.allocator_units;
-      monitor->set_resource_gauge([this] { return allocator_units; });
-    }
-    detector->initialize(monitor->snapshot());
   }
 
-  void spawn_workload(MonitorType type, const CoverageConfig& config,
-                      inject::InjectionController& injection) {
-    if (type == MonitorType::kCommunicationCoordinator) {
-      const std::int64_t total =
-          static_cast<std::int64_t>(config.producers) * config.operations;
-      const std::int64_t per_consumer = total / config.consumers;
-      const std::int64_t remainder = total % config.consumers;
-      for (int p = 0; p < config.producers; ++p) {
-        scheduler.spawn(
-            p, sim_producer(scheduler, *monitor, *buffer, p,
-                            config.operations, injection,
-                            config.in_monitor_ns, config.producer_think_ns,
-                            config.producer_initial_delay_ns));
+  rt::HoareMonitor& monitor() { return monitor_; }
+  const core::CollectingSink& sink() const { return sink_; }
+  const core::MonitorSpec& spec() const { return monitor_.spec(); }
+  /// Virtual time at which the last check ran (the history's horizon).
+  TimeNs end_time() const { return end_time_; }
+
+  /// Run the workload and the periodic checks to completion.
+  void run() {
+    detector_.initialize(monitor_.snapshot());
+    scheduler_.spawn([this] { drive(); }, "driver");
+    const auto stop = scheduler_.run(config_.max_steps);
+    scheduler_.rethrow_any_failure();
+    if (stop != sync::SimScheduler::StopReason::kAllDone) {
+      throw std::runtime_error("coverage trial did not run to completion");
+    }
+  }
+
+ private:
+  static rt::CheckerPool::Options single_worker() {
+    rt::CheckerPool::Options options;
+    options.threads = 1;
+    return options;
+  }
+
+  /// Fig. 1's periodic fault-detection routine, on virtual time: check
+  /// every check_period until the clients are done and the longest timer
+  /// horizon has been covered (or max_checks), then poison the monitor so
+  /// clients parked by an injected fault unwind, and join everyone.
+  void drive() {
+    std::vector<sync::BackendThread> clients;
+    spawn_clients(clients);
+    const TimeNs horizon =
+        std::max({spec().t_max, spec().t_io, spec().t_limit});
+    const auto min_checks =
+        static_cast<std::uint64_t>(horizon / spec().check_period) + 3;
+    for (std::uint64_t check = 1; check <= config_.max_checks; ++check) {
+      sync::backend_sleep_for(spec().check_period);
+      pool_.check_now(id_);
+      if (clients_done_ == clients.size() && check >= min_checks) break;
+    }
+    end_time_ = sync::backend_now();
+    monitor_.poison();
+    for (sync::BackendThread& client : clients) client.join();
+  }
+
+  void spawn_clients(std::vector<sync::BackendThread>& clients) {
+    const auto spawn = [&](auto body) {
+      clients.emplace_back([this, body] {
+        body();
+        ++clients_done_;
+      });
+    };
+    if (type_ == MonitorType::kCommunicationCoordinator) {
+      const int total = config_.producers * config_.operations;
+      const int per_consumer = total / config_.consumers;
+      const int remainder = total % config_.consumers;
+      for (int p = 0; p < config_.producers; ++p) {
+        spawn([this, p] { produce(p); });
       }
-      for (int c = 0; c < config.consumers; ++c) {
-        const auto quota =
-            static_cast<int>(per_consumer + (c == 0 ? remainder : 0));
-        scheduler.spawn(
-            100 + c, sim_consumer(scheduler, *monitor, *buffer, 100 + c,
-                                  quota, injection, config.in_monitor_ns,
-                                  config.consumer_think_ns));
+      for (int c = 0; c < config_.consumers; ++c) {
+        const int quota = per_consumer + (c == 0 ? remainder : 0);
+        spawn([this, c, quota] { consume(100 + c, quota); });
       }
     } else {
-      const int clients = config.producers + config.consumers;
-      for (int w = 0; w < clients; ++w) {
-        scheduler.spawn(
-            w, sim_allocator_client(scheduler, *monitor, allocator_units, w,
-                                    config.operations / 2 + 1, injection,
-                                    config.producer_think_ns,
-                                    config.producer_think_ns));
+      const int clients_total = config_.producers + config_.consumers;
+      for (int w = 0; w < clients_total; ++w) {
+        spawn([this, w] { allocate(w, config_.operations / 2 + 1); });
       }
     }
   }
 
-  void spawn_checker(const CoverageConfig& config) {
-    sim::CheckerOptions checker_options;
-    checker_options.max_checks = config.max_checks;
-    // Cover the longest timer horizon plus slack.
-    const util::TimeNs horizon =
-        std::max({spec.t_max, spec.t_io, spec.t_limit});
-    checker_options.min_checks =
-        static_cast<std::uint64_t>(horizon / spec.check_period) + 3;
-    // Harness tasks use pids below -1 (kNoPid is reserved).
-    scheduler.spawn(-100, sim::periodic_checker(scheduler, *monitor,
-                                                *detector, checker_options));
+  // --- Coordinator workload: bounded buffer. --------------------------------
+
+  bool full() const {
+    return items_ >= static_cast<std::int64_t>(config_.buffer_capacity);
   }
+
+  void produce(trace::Pid pid) {
+    dwell(config_.producer_initial_delay_ns);
+    for (int i = 0; i < config_.operations; ++i) {
+      if (send(pid) != Status::kOk) return;
+      dwell(config_.producer_think_ns);
+    }
+  }
+
+  void consume(trace::Pid pid, int operations) {
+    for (int i = 0; i < operations; ++i) {
+      if (receive(pid) != Status::kOk) return;
+      dwell(config_.consumer_think_ns);
+    }
+  }
+
+  /// Monitor procedure "Send".  Arming is conditioned on the state where
+  /// the fault has an effect, so a one-shot injection is not wasted on a
+  /// no-op opportunity.
+  Status send(trace::Pid pid) {
+    if (const Status s = monitor_.enter(pid, "Send"); s != Status::kOk) {
+      return s;
+    }
+    dwell(config_.in_monitor_ns);
+    // II.a: delayed although not full / II.d: not delayed although full.
+    const bool force_delay =
+        !full() && injection_.fire(FaultKind::kSendDelayWrong, pid);
+    const bool skip_delay =
+        full() && injection_.fire(FaultKind::kSendExceedsCapacity, pid);
+    if (force_delay || (full() && !skip_delay)) {
+      if (const Status s = monitor_.wait(pid, "full"); s != Status::kOk) {
+        return s;
+      }
+    }
+    ++items_;
+    monitor_.signal_exit(pid, "empty", -1);  // one fewer free slot
+    return Status::kOk;
+  }
+
+  /// Monitor procedure "Receive".
+  Status receive(trace::Pid pid) {
+    if (const Status s = monitor_.enter(pid, "Receive"); s != Status::kOk) {
+      return s;
+    }
+    dwell(config_.in_monitor_ns);
+    // II.b: delayed although not empty / II.c: fabricate instead of waiting.
+    const bool force_delay =
+        items_ > 0 && injection_.fire(FaultKind::kReceiveDelayWrong, pid);
+    const bool fabricate =
+        items_ == 0 && injection_.fire(FaultKind::kReceiveExceedsSend, pid);
+    if (force_delay || (items_ == 0 && !fabricate)) {
+      if (const Status s = monitor_.wait(pid, "empty"); s != Status::kOk) {
+        return s;
+      }
+    }
+    if (items_ > 0) --items_;
+    monitor_.signal_exit(pid, "full", +1);  // one more free slot
+    return Status::kOk;
+  }
+
+  // --- Allocator workload with Level-III client faults. ---------------------
+
+  void allocate(trace::Pid pid, int iterations) {
+    for (int i = 0; i < iterations; ++i) {
+      // III.a: release a resource that was never acquired.
+      if (injection_.fire(FaultKind::kReleaseBeforeAcquire, pid) &&
+          release(pid) != Status::kOk) {
+        return;
+      }
+      if (acquire(pid) != Status::kOk) return;
+      // III.c: acquire again while already holding.
+      if (injection_.fire(FaultKind::kDoubleAcquireDeadlock, pid) &&
+          acquire(pid) != Status::kOk) {
+        return;
+      }
+      dwell(config_.producer_think_ns);
+      // III.b: never release.
+      if (!injection_.fire(FaultKind::kResourceNeverReleased, pid) &&
+          release(pid) != Status::kOk) {
+        return;
+      }
+      dwell(config_.producer_think_ns);
+    }
+  }
+
+  Status acquire(trace::Pid pid) {
+    if (const Status s = monitor_.enter(pid, "Acquire"); s != Status::kOk) {
+      return s;
+    }
+    dwell(kAllocatorInMonitorNs);
+    if (units_ == 0) {
+      if (const Status s = monitor_.wait(pid, "available"); s != Status::kOk) {
+        return s;
+      }
+    }
+    --units_;
+    monitor_.exit(pid);
+    return Status::kOk;
+  }
+
+  Status release(trace::Pid pid) {
+    if (const Status s = monitor_.enter(pid, "Release"); s != Status::kOk) {
+      return s;
+    }
+    dwell(kAllocatorInMonitorNs);
+    ++units_;
+    monitor_.signal_exit(pid, "available");
+    return Status::kOk;
+  }
+
+  sync::SimScheduler scheduler_;
+  MonitorType type_;
+  const CoverageConfig& config_;
+  inject::InjectionController& injection_;
+  rt::HoareMonitor monitor_;
+  core::CollectingSink sink_;
+  core::Detector detector_;
+  rt::CheckerPool pool_;
+  rt::CheckerPool::MonitorId id_;
+  std::int64_t items_ = 0;  ///< Coordinator: buffered items.
+  std::int64_t units_;      ///< Allocator: free units (the R# gauge).
+  std::size_t clients_done_ = 0;
+  TimeNs end_time_ = 0;
 };
 
-}  // namespace
-
-CoverageOutcome run_coverage_trial(core::FaultKind kind, std::uint64_t seed) {
-  return run_coverage_trial(kind, seed, CoverageConfig{});
-}
-
-namespace {
-
-CoverageOutcome run_one_attempt(core::FaultKind kind, std::uint64_t seed,
+CoverageOutcome run_one_attempt(FaultKind kind, std::uint64_t seed,
                                 const CoverageConfig& config,
                                 std::int64_t nth) {
   const inject::CatalogEntry& entry = inject::catalog_entry(kind);
@@ -242,21 +310,18 @@ CoverageOutcome run_one_attempt(core::FaultKind kind, std::uint64_t seed,
   plan.sticky = inject::is_sticky_fault(kind);
   inject::ScriptedInjection injection(plan);
 
-  TrialRig rig(entry.exercised_on, seed, config, injection);
-  rig.spawn_workload(entry.exercised_on, config, injection);
-  rig.spawn_checker(config);
-  rig.scheduler.run(config.max_steps);
-  rig.scheduler.rethrow_any_failure();
+  Trial trial(entry.exercised_on, seed, config, injection);
+  trial.run();
 
   CoverageOutcome outcome;
   outcome.kind = kind;
   outcome.injected = injection.fired();
   outcome.injection_attempt = nth;
-  outcome.reports = rig.sink->reports();
+  outcome.reports = trial.sink().reports();
   outcome.total_reports = outcome.reports.size();
   outcome.detected = inject::detected(entry, outcome.reports);
   if (outcome.detected) {
-    util::TimeNs first = 0;
+    TimeNs first = 0;
     for (const auto& report : outcome.reports) {
       const bool matches =
           std::find(entry.detecting_rules.begin(),
@@ -266,15 +331,16 @@ CoverageOutcome run_one_attempt(core::FaultKind kind, std::uint64_t seed,
         first = report.detected_at;
       }
     }
-    outcome.detection_check = static_cast<std::uint64_t>(
-        (first + rig.spec.check_period - 1) / rig.spec.check_period);
+    const TimeNs period = trial.spec().check_period;
+    outcome.detection_check =
+        static_cast<std::uint64_t>((first + period - 1) / period);
   }
   return outcome;
 }
 
 }  // namespace
 
-CoverageOutcome run_coverage_trial(core::FaultKind kind, std::uint64_t seed,
+CoverageOutcome run_coverage_trial(FaultKind kind, std::uint64_t seed,
                                    const CoverageConfig& config) {
   constexpr std::int64_t kMaxAttempts = 12;
   CoverageOutcome outcome;
@@ -287,58 +353,43 @@ CoverageOutcome run_coverage_trial(core::FaultKind kind, std::uint64_t seed,
   return outcome;
 }
 
-std::size_t run_fault_free_trial(core::MonitorType type, std::uint64_t seed) {
-  return run_fault_free_trial(type, seed, CoverageConfig{});
-}
-
-std::size_t run_fault_free_trial(core::MonitorType type, std::uint64_t seed,
+std::size_t run_fault_free_trial(MonitorType type, std::uint64_t seed,
                                  const CoverageConfig& config) {
-  TrialRig rig(type, seed, config, inject::NullInjection::instance());
-  rig.spawn_workload(type, config, inject::NullInjection::instance());
-  rig.spawn_checker(config);
-  rig.scheduler.run(config.max_steps);
-  rig.scheduler.rethrow_any_failure();
-  return rig.sink->count();
+  Trial trial(type, seed, config, inject::NullInjection::instance());
+  trial.run();
+  return trial.sink().count();
 }
 
-
-FdTrialResult run_fd_trial(std::optional<core::FaultKind> kind,
-                           std::uint64_t seed) {
-  return run_fd_trial(kind, seed, CoverageConfig{});
-}
-
-FdTrialResult run_fd_trial(std::optional<core::FaultKind> kind,
-                           std::uint64_t seed, const CoverageConfig& config) {
+FdTrialResult run_fd_trial(std::optional<FaultKind> kind, std::uint64_t seed,
+                           const CoverageConfig& config) {
   const MonitorType type =
       kind ? inject::catalog_entry(*kind).exercised_on
            : MonitorType::kCommunicationCoordinator;
 
   inject::ScriptedInjection::Plan plan;
-  plan.kind = kind.value_or(core::FaultKind::kEnterRequestLost);
+  plan.kind = kind.value_or(FaultKind::kEnterRequestLost);
   plan.sticky = kind ? inject::is_sticky_fault(*kind) : false;
   inject::ScriptedInjection scripted(plan);
   inject::InjectionController& injection =
       kind ? static_cast<inject::InjectionController&>(scripted)
            : inject::NullInjection::instance();
 
-  TrialRig rig(type, seed, config, injection);
-  rig.monitor->log().set_retention(true);
-  rig.monitor->enable_state_trace();
-  rig.spawn_workload(type, config, injection);
-  rig.spawn_checker(config);
-  rig.scheduler.run(config.max_steps);
-  rig.scheduler.rethrow_any_failure();
+  Trial trial(type, seed, config, injection);
+  trial.monitor().log().set_retention(true);
+  trial.monitor().enable_state_trace();
+  trial.run();
 
   FdTrialResult result;
   result.injected = kind ? scripted.fired() : false;
-  result.st_reports = rig.sink->reports();
-
-  const auto events = rig.monitor->log().history();
+  result.st_reports = trial.sink().reports();
+  const auto events = trial.monitor().log().history();
   result.event_count = events.size();
   result.fd_reports = core::validate_fd_rules(
-      rig.spec, rig.monitor->symbols(), events, rig.monitor->state_trace(),
-      rig.scheduler.now());
+      trial.spec(), trial.monitor().symbols(), events,
+      trial.monitor().state_trace(), trial.end_time());
   return result;
 }
 
 }  // namespace robmon::wl
+
+#endif  // ROBMON_SYNC_BACKEND_SIM

@@ -1,75 +1,31 @@
-// Deterministic coverage scenarios on the simulator — the harness behind
-// the paper's robustness evaluation ("Faults of different kinds ... are
-// injected randomly ... The results show that all injected faults are
-// detected").
+// Deterministic coverage scenarios — the harness behind the paper's
+// robustness evaluation ("Faults of different kinds ... are injected
+// randomly ... The results show that all injected faults are detected").
 //
 // run_coverage_trial(kind, seed) builds the workload the catalog prescribes
 // for the fault class (bounded-buffer producer/consumer on a coordinator
 // monitor, or acquire/release clients on an allocator monitor), injects one
-// fault of that class via ScriptedInjection, runs the periodic checker over
-// virtual time, and reports whether the detector flagged it with one of the
-// rules the catalog expects.
+// fault of that class via ScriptedInjection, checks the monitor every
+// check_period of virtual time, and reports whether the detector flagged it
+// with one of the rules the catalog expects.
+//
+// Every trial runs the production code path — rt::HoareMonitor, a
+// core::Detector registered with an rt::CheckerPool, clients on fibers —
+// inside one seeded sync::SimScheduler, so an outcome is a pure function of
+// (kind, seed, config).  Only runnable when the tree is compiled with
+// ROBMON_SYNC_BACKEND_SIM (the robmon_sim library); under the real backend
+// every entry point throws std::logic_error.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
 #include "core/fault.hpp"
-#include "inject/catalog.hpp"
-#include "inject/injection.hpp"
-#include "sim/scheduler.hpp"
-#include "sim/sim_monitor.hpp"
+#include "core/monitor_spec.hpp"
+#include "util/clock.hpp"
 
 namespace robmon::wl {
-
-/// Shared bounded-buffer state for the simulated coordinator workload.
-struct SimBuffer {
-  std::size_t capacity = 2;
-  std::deque<std::int64_t> items;
-
-  bool full() const { return items.size() >= capacity; }
-  bool empty() const { return items.empty(); }
-  std::int64_t free_slots() const {
-    return static_cast<std::int64_t>(capacity) -
-           static_cast<std::int64_t>(items.size());
-  }
-};
-
-/// Monitor procedure "Send" (simulated).  `in_monitor_ns` models the
-/// critical-section duration so that entries contend realistically.
-sim::Op<> sim_send(sim::SimMonitor& monitor, SimBuffer& buffer,
-                   trace::Pid pid, std::int64_t item,
-                   inject::InjectionController& injection,
-                   util::TimeNs in_monitor_ns);
-
-/// Monitor procedure "Receive" (simulated).
-sim::Op<> sim_receive(sim::SimMonitor& monitor, SimBuffer& buffer,
-                      trace::Pid pid, inject::InjectionController& injection,
-                      util::TimeNs in_monitor_ns);
-
-/// Producer / consumer processes for the coordinator workload.
-sim::Process sim_producer(sim::Scheduler& scheduler, sim::SimMonitor& monitor,
-                          SimBuffer& buffer, trace::Pid pid, int operations,
-                          inject::InjectionController& injection,
-                          util::TimeNs in_monitor_ns, util::TimeNs think_ns,
-                          util::TimeNs initial_delay_ns = 0);
-sim::Process sim_consumer(sim::Scheduler& scheduler, sim::SimMonitor& monitor,
-                          SimBuffer& buffer, trace::Pid pid, int operations,
-                          inject::InjectionController& injection,
-                          util::TimeNs in_monitor_ns, util::TimeNs think_ns,
-                          util::TimeNs initial_delay_ns = 0);
-
-/// Allocator workload: Acquire/Release of `units` with Level-III client
-/// faults supplied by `injection`.
-sim::Process sim_allocator_client(sim::Scheduler& scheduler,
-                                  sim::SimMonitor& monitor,
-                                  std::int64_t& units, trace::Pid pid,
-                                  int iterations,
-                                  inject::InjectionController& injection,
-                                  util::TimeNs hold_ns,
-                                  util::TimeNs think_ns);
 
 struct CoverageOutcome {
   core::FaultKind kind;
@@ -114,20 +70,18 @@ struct CoverageConfig {
 
 /// Inject one fault of `kind` into the prescribed workload under schedule
 /// seed `seed`; return what the detector saw.
-CoverageOutcome run_coverage_trial(core::FaultKind kind, std::uint64_t seed);
 CoverageOutcome run_coverage_trial(core::FaultKind kind, std::uint64_t seed,
-                                   const CoverageConfig& config);
+                                   const CoverageConfig& config = {});
 
 /// Fault-free control run: same workloads, no injection; returns the number
 /// of (spurious) reports — the soundness check expects zero.
-std::size_t run_fault_free_trial(core::MonitorType type, std::uint64_t seed);
 std::size_t run_fault_free_trial(core::MonitorType type, std::uint64_t seed,
-                                 const CoverageConfig& config);
+                                 const CoverageConfig& config = {});
 
-/// One trial recorded in the paper's T=1 mode (state after every event),
-/// validated both by the interval-checking algorithms (ST) and by the
-/// declarative FD-Rules of Section 3.2.  Used to test the paper's
-/// FD-equivalent-to-ST claim.
+/// One trial recorded in the paper's T=1 mode (state after every event,
+/// HoareMonitor::enable_state_trace), validated both by the
+/// interval-checking algorithms (ST) and by the declarative FD-Rules of
+/// Section 3.2.  Used to test the paper's FD-equivalent-to-ST claim.
 struct FdTrialResult {
   bool injected = false;
   std::size_t event_count = 0;
@@ -137,8 +91,7 @@ struct FdTrialResult {
 
 /// kind == nullopt -> fault-free control.
 FdTrialResult run_fd_trial(std::optional<core::FaultKind> kind,
-                           std::uint64_t seed);
-FdTrialResult run_fd_trial(std::optional<core::FaultKind> kind,
-                           std::uint64_t seed, const CoverageConfig& config);
+                           std::uint64_t seed,
+                           const CoverageConfig& config = {});
 
 }  // namespace robmon::wl

@@ -1,8 +1,8 @@
 // CheckerPool engine tests: synchronous checks without workers, deadline
 // ordering across monitors with different cadences, concurrent
 // register/unregister while traffic flows, per-monitor gate policies
-// coexisting in one pool, and regression parity between the PeriodicChecker
-// compat wrapper and the shared-pool path on injected faults.
+// coexisting in one pool, and regression parity between a RobustMonitor's
+// private one-thread pool and a shared pool on injected faults.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -215,10 +215,10 @@ TEST(CheckerPoolTest, MixedHoldGatePoliciesCoexist) {
   EXPECT_GE(concurrent.detector().checks_run(), 1u);
 }
 
-// Regression: the PeriodicChecker compat wrapper (default RobustMonitor
-// path) must detect the same injected fault as before the CheckerPool
-// refactor, from its *periodic* thread, not only from check_now().
-TEST(CheckerPoolTest, CompatWrapperStillDetectsInjectedFaultPeriodically) {
+// Regression: a RobustMonitor without Options::checker_pool (its private
+// one-thread pool) must detect the injected fault from its *periodic*
+// worker, not only from check_now().
+TEST(CheckerPoolTest, PrivatePoolDetectsInjectedFaultPeriodically) {
   CollectingSink sink;
   inject::ScriptedInjection injection(
       {FaultKind::kSendExceedsCapacity, trace::kNoPid, 1, false});

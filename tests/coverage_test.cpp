@@ -5,8 +5,11 @@
 //   * completeness — for every one of the 21 taxonomy classes and several
 //     schedule seeds, a scripted injection is detected by one of the rules
 //     the catalog maps it to;
-//   * soundness — fault-free runs of the same workloads over many seeds
-//     produce zero reports.
+//   * soundness — fault-free runs of the same workloads over many seeds,
+//     and over a sweep of workload shapes, produce zero reports.
+//
+// Every trial runs the production HoareMonitor + CheckerPool under the
+// deterministic SimBackend (this binary links robmon_sim).
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -103,6 +106,62 @@ std::string soundness_param_name(
 INSTANTIATE_TEST_SUITE_P(FaultFree, SoundnessTest,
                          ::testing::ValuesIn(soundness_params()),
                          soundness_param_name);
+
+// --- Soundness across workload shapes. -------------------------------------
+
+struct SweepShape {
+  int producers;
+  int consumers;
+  std::size_t capacity;
+  int operations;
+  const char* label;
+};
+
+using SweepParam = std::tuple<SweepShape, std::uint64_t>;
+
+class ShapeSweepTest : public ::testing::TestWithParam<SweepParam> {};
+
+TEST_P(ShapeSweepTest, FaultFreeAcrossShapes) {
+  const auto [shape, seed] = GetParam();
+  wl::CoverageConfig config;
+  config.producers = shape.producers;
+  config.consumers = shape.consumers;
+  config.buffer_capacity = shape.capacity;
+  config.operations = shape.operations;
+  EXPECT_EQ(wl::run_fault_free_trial(
+                core::MonitorType::kCommunicationCoordinator, seed, config),
+            0u)
+      << shape.label << " seed " << seed;
+}
+
+std::vector<SweepParam> sweep_params() {
+  static const SweepShape shapes[] = {
+      {1, 1, 1, 20, "minimal"},
+      {1, 4, 2, 16, "consumer-heavy"},
+      {4, 1, 2, 16, "producer-heavy"},
+      {2, 2, 1, 24, "single-slot"},
+      {5, 5, 4, 10, "wide"},
+  };
+  std::vector<SweepParam> params;
+  for (const auto& shape : shapes) {
+    for (std::uint64_t seed : {11ULL, 12ULL, 13ULL}) {
+      params.emplace_back(shape, seed);
+    }
+  }
+  return params;
+}
+
+std::string sweep_name(const ::testing::TestParamInfo<SweepParam>& info) {
+  const auto [shape, seed] = info.param;
+  std::string label = shape.label;
+  for (char& c : label) {
+    if (c == '-') c = '_';
+  }
+  return label + "_seed" + std::to_string(seed);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, ShapeSweepTest,
+                         ::testing::ValuesIn(sweep_params()), sweep_name);
 
 TEST(CoverageCatalogTest, CoversAllTwentyOneKinds) {
   EXPECT_EQ(inject::fault_catalog().size(), core::kFaultKindCount);

@@ -1,6 +1,6 @@
 // Property-style sweeps and unit tests for the supporting pieces:
-// soundness across workload shapes, injection-framework semantics, codec
-// round-trips under random traces, and spec/catalog consistency.
+// injection-framework semantics, codec round-trips under random traces, and
+// spec/catalog consistency.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -10,66 +10,9 @@
 #include "inject/injection.hpp"
 #include "trace/codec.hpp"
 #include "util/rng.hpp"
-#include "workloads/sim_scenarios.hpp"
 
 namespace robmon {
 namespace {
-
-// --- Soundness across workload shapes (simulator). ---------------------------
-
-struct SweepShape {
-  int producers;
-  int consumers;
-  std::size_t capacity;
-  int operations;
-  const char* label;
-};
-
-using SweepParam = std::tuple<SweepShape, std::uint64_t>;
-
-class ShapeSweepTest : public ::testing::TestWithParam<SweepParam> {};
-
-TEST_P(ShapeSweepTest, FaultFreeAcrossShapes) {
-  const auto [shape, seed] = GetParam();
-  wl::CoverageConfig config;
-  config.producers = shape.producers;
-  config.consumers = shape.consumers;
-  config.buffer_capacity = shape.capacity;
-  config.operations = shape.operations;
-  EXPECT_EQ(wl::run_fault_free_trial(
-                core::MonitorType::kCommunicationCoordinator, seed, config),
-            0u)
-      << shape.label << " seed " << seed;
-}
-
-std::vector<SweepParam> sweep_params() {
-  static const SweepShape shapes[] = {
-      {1, 1, 1, 20, "minimal"},
-      {1, 4, 2, 16, "consumer-heavy"},
-      {4, 1, 2, 16, "producer-heavy"},
-      {2, 2, 1, 24, "single-slot"},
-      {5, 5, 4, 10, "wide"},
-  };
-  std::vector<SweepParam> params;
-  for (const auto& shape : shapes) {
-    for (std::uint64_t seed : {11ULL, 12ULL, 13ULL}) {
-      params.emplace_back(shape, seed);
-    }
-  }
-  return params;
-}
-
-std::string sweep_name(const ::testing::TestParamInfo<SweepParam>& info) {
-  const auto [shape, seed] = info.param;
-  std::string label = shape.label;
-  for (char& c : label) {
-    if (c == '-') c = '_';
-  }
-  return label + "_seed" + std::to_string(seed);
-}
-
-INSTANTIATE_TEST_SUITE_P(Shapes, ShapeSweepTest,
-                         ::testing::ValuesIn(sweep_params()), sweep_name);
 
 // --- Injection framework semantics. -------------------------------------------
 

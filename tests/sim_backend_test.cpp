@@ -31,6 +31,46 @@ TEST(SimSchedulerTest, RunsAllFibersToCompletion) {
   EXPECT_EQ(sched.live_count(), 0u);
 }
 
+TEST(SimSchedulerTest, FifoPolicyIsRoundRobin) {
+  SimScheduler sched({.policy = SchedulePolicy::kFifo});
+  std::vector<int> order;
+  for (int id = 0; id < 2; ++id) {
+    sched.spawn([&, id] {
+      for (int round = 0; round < 2; ++round) {
+        order.push_back(id);
+        sched.yield_fiber();
+      }
+    });
+  }
+  EXPECT_EQ(sched.run(), SimScheduler::StopReason::kAllDone);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 0, 1}));
+}
+
+TEST(SimSchedulerTest, VirtualTimeAdvancesOneTickPerStep) {
+  SimScheduler sched({.tick_ns = 500, .policy = SchedulePolicy::kFifo});
+  sched.spawn([&] {
+    for (int i = 0; i < 3; ++i) {
+      sched.yield_fiber();
+    }
+  });
+  EXPECT_EQ(sched.run(), SimScheduler::StopReason::kAllDone);
+  // 3 yields + the final resume that completes the fiber = 4 steps.
+  EXPECT_EQ(sched.steps(), 4u);
+  EXPECT_EQ(sched.now(), 4 * 500);
+}
+
+TEST(SimSchedulerTest, MaxStepsBudgetStopsTheRun) {
+  SimScheduler sched;
+  sched.spawn([&] {
+    for (;;) {
+      sched.yield_fiber();
+    }
+  });
+  EXPECT_EQ(sched.run(10), SimScheduler::StopReason::kMaxSteps);
+  EXPECT_EQ(sched.steps(), 10u);
+  EXPECT_EQ(sched.live_count(), 1u);
+}
+
 TEST(SimSchedulerTest, VirtualSleepAdvancesClockWithoutWallTime) {
   SimScheduler sched;
   util::TimeNs woke_at = -1;

@@ -1,161 +1,69 @@
-// Tests for the deterministic scheduler and the simulated monitor:
-// coroutine mechanics, virtual time, Hoare hand-off semantics, and the
-// reduced event recording model.
+// Hoare-monitor semantics of the production rt::HoareMonitor, pinned under
+// the deterministic SimBackend (this binary links robmon_sim, so every
+// client below is a fiber on a seeded sync::SimScheduler and time is
+// virtual): FIFO entry, Hoare hand-off on Signal-Exit, the reduced event
+// recording model, snapshots, the T=1 state trace, and the seed -> event
+// log determinism contract.
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "sim/scheduler.hpp"
-#include "sim/sim_monitor.hpp"
+#include "core/monitor_spec.hpp"
+#include "runtime/hoare_monitor.hpp"
+#include "sync/backend.hpp"
+#include "sync/sim_backend.hpp"
 #include "trace/codec.hpp"
 
-namespace robmon::sim {
+namespace robmon::rt {
 namespace {
 
 using core::MonitorSpec;
+using sync::SchedulePolicy;
+using sync::SimScheduler;
 using trace::EventKind;
 
-Process appender(Scheduler& sched, std::vector<int>& order, int id,
-                 int rounds) {
-  for (int i = 0; i < rounds; ++i) {
-    order.push_back(id);
-    co_await sched.yield();
-  }
-}
-
-TEST(SchedulerTest, FifoRoundRobin) {
-  Scheduler sched;
-  std::vector<int> order;
-  sched.spawn(0, appender(sched, order, 0, 2));
-  sched.spawn(1, appender(sched, order, 1, 2));
-  EXPECT_EQ(sched.run(), Scheduler::StopReason::kAllDone);
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 0, 1}));
-}
-
-TEST(SchedulerTest, RandomPolicyDeterministicPerSeed) {
-  auto trace_for = [](std::uint64_t seed) {
-    Scheduler sched(Scheduler::Options{1000, SchedulePolicy::kRandom, seed});
-    std::vector<int> order;
-    for (int p = 0; p < 4; ++p) sched.spawn(p, appender(sched, order, p, 5));
-    sched.run();
-    return order;
-  };
-  EXPECT_EQ(trace_for(7), trace_for(7));
-  EXPECT_NE(trace_for(7), trace_for(8));
-}
-
-TEST(SchedulerTest, VirtualTimeAdvancesPerStep) {
-  Scheduler sched(Scheduler::Options{500, SchedulePolicy::kFifo, 1});
-  std::vector<int> order;
-  sched.spawn(0, appender(sched, order, 0, 3));
-  sched.run();
-  // 3 appends + final resume that completes the coroutine = 4 steps.
-  EXPECT_EQ(sched.now(), 4 * 500);
-}
-
-Process sleeper(Scheduler& sched, util::TimeNs delay, bool& woke) {
-  co_await sched.delay(delay);
-  woke = true;
-}
-
-TEST(SchedulerTest, DelayJumpsClockWhenIdle) {
-  Scheduler sched;
-  bool woke = false;
-  sched.spawn(0, sleeper(sched, 10 * util::kMillisecond, woke));
-  EXPECT_EQ(sched.run(), Scheduler::StopReason::kAllDone);
-  EXPECT_TRUE(woke);
-  EXPECT_GE(sched.now(), 10 * util::kMillisecond);
-}
-
-Process parker(Scheduler& sched, bool& resumed) {
-  co_await sched.park();
-  resumed = true;
-}
-
-Process unparker(Scheduler& sched, trace::Pid target) {
-  co_await sched.yield();
-  sched.unpark(target);
-  co_return;
-}
-
-TEST(SchedulerTest, ParkUnpark) {
-  Scheduler sched;
-  bool resumed = false;
-  sched.spawn(0, parker(sched, resumed));
-  sched.spawn(1, unparker(sched, 0));
-  EXPECT_EQ(sched.run(), Scheduler::StopReason::kAllDone);
-  EXPECT_TRUE(resumed);
-}
-
-TEST(SchedulerTest, QuiescentWhenAllParked) {
-  Scheduler sched;
-  bool resumed = false;
-  sched.spawn(0, parker(sched, resumed));
-  EXPECT_EQ(sched.run(), Scheduler::StopReason::kQuiescent);
-  EXPECT_FALSE(resumed);
-  EXPECT_TRUE(sched.is_parked(0));
-  EXPECT_EQ(sched.parked_pids(), std::vector<trace::Pid>{0});
-}
-
-TEST(SchedulerTest, MaxStepsBudget) {
-  Scheduler sched;
-  std::vector<int> order;
-  sched.spawn(0, appender(sched, order, 0, 1000000));
-  EXPECT_EQ(sched.run(10), Scheduler::StopReason::kMaxSteps);
-  EXPECT_EQ(sched.steps(), 10u);
-}
-
-Process thrower(Scheduler& sched) {
-  co_await sched.yield();
-  throw std::runtime_error("boom");
-}
-
-TEST(SchedulerTest, ExceptionsSurfaceViaRethrow) {
-  Scheduler sched;
-  sched.spawn(0, thrower(sched));
-  sched.run();
-  EXPECT_THROW(sched.rethrow_any_failure(), std::runtime_error);
-}
-
-TEST(SchedulerTest, DuplicatePidRejected) {
-  Scheduler sched;
-  std::vector<int> order;
-  sched.spawn(0, appender(sched, order, 0, 1));
-  EXPECT_THROW(sched.spawn(0, appender(sched, order, 0, 1)),
-               std::invalid_argument);
-}
-
-// --- SimMonitor semantics. --------------------------------------------------
-
 struct MonitorRig {
-  Scheduler sched;
-  MonitorSpec spec = MonitorSpec::manager("m");
-  SimMonitor monitor{spec, sched};
+  SimScheduler sched{{.policy = SchedulePolicy::kFifo}};
+  HoareMonitor monitor{MonitorSpec::manager("m"), *sync::backend_clock()};
 };
 
-Process enter_exit(SimMonitor& mon, std::vector<trace::Pid>& order,
-                   trace::Pid pid, util::TimeNs hold) {
-  co_await mon.enter("Op");
+void enter_exit(HoareMonitor& mon, std::vector<trace::Pid>& order,
+                trace::Pid pid, util::TimeNs hold) {
+  if (mon.enter(pid, "Op") != Status::kOk) return;
   order.push_back(pid);
-  if (hold > 0) co_await mon.scheduler().delay(hold);
-  mon.exit();
+  if (hold > 0) sync::backend_sleep_for(hold);
+  mon.exit(pid);
 }
 
-TEST(SimMonitorTest, MutualExclusionAndFifoEntry) {
+void wait_then_exit(HoareMonitor& mon, std::vector<int>& marks, trace::Pid pid,
+                    int before, int after) {
+  if (mon.enter(pid, "Waiter") != Status::kOk) return;
+  marks.push_back(before);
+  if (mon.wait(pid, "go") != Status::kOk) return;
+  marks.push_back(after);
+  mon.exit(pid);
+}
+
+void signal_once(HoareMonitor& mon, trace::Pid pid) {
+  if (mon.enter(pid, "Signaller") != Status::kOk) return;
+  mon.signal_exit(pid, "go");
+}
+
+TEST(HoareMonitorSimTest, MutualExclusionAndFifoEntry) {
   MonitorRig rig;
   std::vector<trace::Pid> order;
   for (trace::Pid p = 0; p < 4; ++p) {
-    rig.sched.spawn(p, enter_exit(rig.monitor, order, p, 500'000));
+    rig.sched.spawn([&, p] { enter_exit(rig.monitor, order, p, 500'000); });
   }
-  EXPECT_EQ(rig.sched.run(), Scheduler::StopReason::kAllDone);
+  EXPECT_EQ(rig.sched.run(), SimScheduler::StopReason::kAllDone);
   EXPECT_EQ(order, (std::vector<trace::Pid>{0, 1, 2, 3}));
-  EXPECT_FALSE(rig.monitor.owner().has_value());
+  EXPECT_FALSE(rig.monitor.snapshot().has_running());
 }
 
-TEST(SimMonitorTest, EventSequenceForUncontendedEnterExit) {
+TEST(HoareMonitorSimTest, EventSequenceForUncontendedEnterExit) {
   MonitorRig rig;
   std::vector<trace::Pid> order;
-  rig.sched.spawn(1, enter_exit(rig.monitor, order, 1, 0));
+  rig.sched.spawn([&] { enter_exit(rig.monitor, order, 1, 0); });
   rig.sched.run();
   const auto events = rig.monitor.log().drain();
   ASSERT_EQ(events.size(), 2u);
@@ -165,11 +73,11 @@ TEST(SimMonitorTest, EventSequenceForUncontendedEnterExit) {
   EXPECT_FALSE(events[1].flag);
 }
 
-TEST(SimMonitorTest, ContendedEntryRecordsFlagZeroOnce) {
+TEST(HoareMonitorSimTest, ContendedEntryRecordsFlagZeroOnce) {
   MonitorRig rig;
   std::vector<trace::Pid> order;
-  rig.sched.spawn(1, enter_exit(rig.monitor, order, 1, 500'000));
-  rig.sched.spawn(2, enter_exit(rig.monitor, order, 2, 0));
+  rig.sched.spawn([&] { enter_exit(rig.monitor, order, 1, 500'000); });
+  rig.sched.spawn([&] { enter_exit(rig.monitor, order, 2, 0); });
   rig.sched.run();
   const auto events = rig.monitor.log().drain();
   // Enter(1,1), Enter(2,0), SignalExit(1), SignalExit(2): the resume of p2
@@ -184,26 +92,12 @@ TEST(SimMonitorTest, ContendedEntryRecordsFlagZeroOnce) {
   EXPECT_EQ(events[3].pid, 2);
 }
 
-Process wait_then_exit(SimMonitor& mon, std::vector<int>& marks, int before,
-                       int after) {
-  co_await mon.enter("Waiter");
-  marks.push_back(before);
-  co_await mon.wait("go");
-  marks.push_back(after);
-  mon.exit();
-}
-
-Process signal_once(SimMonitor& mon) {
-  co_await mon.enter("Signaller");
-  mon.signal_exit("go");
-}
-
-TEST(SimMonitorTest, SignalExitHandsOffToCondWaiter) {
+TEST(HoareMonitorSimTest, SignalExitHandsOffToCondWaiter) {
   MonitorRig rig;
   std::vector<int> marks;
-  rig.sched.spawn(1, wait_then_exit(rig.monitor, marks, 10, 11));
-  rig.sched.spawn(2, signal_once(rig.monitor));
-  EXPECT_EQ(rig.sched.run(), Scheduler::StopReason::kAllDone);
+  rig.sched.spawn([&] { wait_then_exit(rig.monitor, marks, 1, 10, 11); });
+  rig.sched.spawn([&] { signal_once(rig.monitor, 2); });
+  EXPECT_EQ(rig.sched.run(), SimScheduler::StopReason::kAllDone);
   EXPECT_EQ(marks, (std::vector<int>{10, 11}));
   const auto events = rig.monitor.log().drain();
   // Enter(1,1) Wait(1) Enter(2,1) SignalExit(2,go,1) SignalExit(1).
@@ -213,9 +107,9 @@ TEST(SimMonitorTest, SignalExitHandsOffToCondWaiter) {
   EXPECT_EQ(events[4].pid, 1);
 }
 
-TEST(SimMonitorTest, SignalWithNoWaiterHasFlagZero) {
+TEST(HoareMonitorSimTest, SignalWithNoWaiterHasFlagZero) {
   MonitorRig rig;
-  rig.sched.spawn(2, signal_once(rig.monitor));
+  rig.sched.spawn([&] { signal_once(rig.monitor, 2); });
   rig.sched.run();
   const auto events = rig.monitor.log().drain();
   ASSERT_EQ(events.size(), 2u);
@@ -223,18 +117,23 @@ TEST(SimMonitorTest, SignalWithNoWaiterHasFlagZero) {
   EXPECT_FALSE(events[1].flag);
 }
 
-TEST(SimMonitorTest, SnapshotReflectsQueues) {
+TEST(HoareMonitorSimTest, SnapshotReflectsQueues) {
   MonitorRig rig;
   std::vector<int> marks;
   std::vector<trace::Pid> order;
-  rig.sched.spawn(1, wait_then_exit(rig.monitor, marks, 1, 2));
-  rig.sched.spawn(2, enter_exit(rig.monitor, order, 2, 10 * util::kSecond));
-  rig.sched.spawn(3, enter_exit(rig.monitor, order, 3, 0));
-  // Exactly three resume steps: p1 enters and waits on "go", p2 enters and
-  // sleeps holding the monitor, p3 queues on EQ.  (More steps would let the
-  // virtual clock jump past p2's hold.)
-  rig.sched.run(3);
-  const auto state = rig.monitor.snapshot();
+  trace::SchedulingState state;
+  // Round-robin: p1 enters and waits on "go", p2 enters and sleeps holding
+  // the monitor, p3 queues on EQ; then the observer looks, and poisons the
+  // monitor so the blocked clients unwind.
+  rig.sched.spawn([&] { wait_then_exit(rig.monitor, marks, 1, 1, 2); });
+  rig.sched.spawn(
+      [&] { enter_exit(rig.monitor, order, 2, 10 * util::kSecond); });
+  rig.sched.spawn([&] { enter_exit(rig.monitor, order, 3, 0); });
+  rig.sched.spawn([&] {
+    state = rig.monitor.snapshot();
+    rig.monitor.poison();
+  });
+  EXPECT_EQ(rig.sched.run(), SimScheduler::StopReason::kAllDone);
   EXPECT_EQ(state.running, 2);
   ASSERT_EQ(state.entry_queue.size(), 1u);
   EXPECT_EQ(state.entry_queue[0].pid, 3);
@@ -245,20 +144,20 @@ TEST(SimMonitorTest, SnapshotReflectsQueues) {
   EXPECT_EQ(state.blocked_count(), 2u);
 }
 
-TEST(SimMonitorTest, RandomSeedYieldsByteIdenticalEventLog) {
-  // The determinism contract the schedule explorer builds on, pinned at the
-  // coroutine-simulator layer: the serialized event log is a pure function
-  // of (workload, seed) — same seed twice gives byte-identical bytes, and
-  // nearby seeds take schedules different enough to move the log.
+TEST(HoareMonitorSimTest, RandomSeedYieldsByteIdenticalEventLog) {
+  // The determinism contract the coverage harness and the schedule
+  // explorer build on, pinned at the monitor layer: the serialized event
+  // log is a pure function of (workload, seed) — same seed twice gives
+  // byte-identical bytes, and nearby seeds take schedules different enough
+  // to move the log.
   const auto trace_for = [](std::uint64_t seed) {
-    Scheduler sched(Scheduler::Options{1000, SchedulePolicy::kRandom, seed});
-    MonitorSpec spec = MonitorSpec::manager("m");
-    SimMonitor monitor(spec, sched);
+    SimScheduler sched({.policy = SchedulePolicy::kRandom, .seed = seed});
+    HoareMonitor monitor(MonitorSpec::manager("m"), *sync::backend_clock());
     std::vector<trace::Pid> order;
     for (trace::Pid p = 1; p <= 5; ++p) {
-      sched.spawn(p, enter_exit(monitor, order, p, 200'000 * p));
+      sched.spawn([&, p] { enter_exit(monitor, order, p, 200'000 * p); });
     }
-    EXPECT_EQ(sched.run(), Scheduler::StopReason::kAllDone);
+    EXPECT_EQ(sched.run(), SimScheduler::StopReason::kAllDone);
     return trace::write_trace_string(trace::make_trace_file(
         "m", "manager", -1, monitor.symbols(), monitor.log().drain(), {}));
   };
@@ -272,19 +171,20 @@ TEST(SimMonitorTest, RandomSeedYieldsByteIdenticalEventLog) {
   EXPECT_TRUE(diverged) << "seed sweep never changed the event log";
 }
 
-TEST(SimMonitorTest, StateTraceAlignsWithEvents) {
+TEST(HoareMonitorSimTest, StateTraceAlignsWithEvents) {
   MonitorRig rig;
   rig.monitor.enable_state_trace();
   std::vector<int> marks;
-  rig.sched.spawn(1, wait_then_exit(rig.monitor, marks, 1, 2));
-  rig.sched.spawn(2, signal_once(rig.monitor));
-  rig.sched.run();
+  rig.sched.spawn([&] { wait_then_exit(rig.monitor, marks, 1, 1, 2); });
+  rig.sched.spawn([&] { signal_once(rig.monitor, 2); });
+  EXPECT_EQ(rig.sched.run(), SimScheduler::StopReason::kAllDone);
   const auto events = rig.monitor.log().drain();
   const auto& states = rig.monitor.state_trace();
+  EXPECT_EQ(events.size(), 5u);
   EXPECT_EQ(states.size(), events.size() + 1);
 }
 
-TEST(SimMonitorTest, ResourceGaugeInSnapshot) {
+TEST(HoareMonitorSimTest, ResourceGaugeInSnapshot) {
   MonitorRig rig;
   std::int64_t value = 42;
   rig.monitor.set_resource_gauge([&value] { return value; });
@@ -293,10 +193,10 @@ TEST(SimMonitorTest, ResourceGaugeInSnapshot) {
   EXPECT_EQ(rig.monitor.snapshot().resources, 7);
 }
 
-TEST(SimMonitorTest, NoGaugeMeansNotApplicable) {
+TEST(HoareMonitorSimTest, NoGaugeMeansNotApplicable) {
   MonitorRig rig;
   EXPECT_EQ(rig.monitor.snapshot().resources, -1);
 }
 
 }  // namespace
-}  // namespace robmon::sim
+}  // namespace robmon::rt
