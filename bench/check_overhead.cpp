@@ -13,11 +13,12 @@
 //             machine, so CI skips throughput comparisons on such rows
 //             (but still gates losses and detections).
 //   pool      wl::run_multi_load at M ∈ --monitors for three engine
-//             shapes — per-item (max_batch = 1, the pre-batching loop),
-//             batched (default), batched+adaptive (--max-stretch) — with
-//             injected faults; reports per-check time, dispatches (worker
-//             wake-ups) per 1k checks, batch sizes, coalesced deadlines,
-//             and the detection scorecard.
+//             shapes — batched (default), batched+adaptive (--max-stretch)
+//             and batched with lock-order prediction on — with injected
+//             faults; reports per-check time, dispatches (worker wake-ups)
+//             per 1k checks, batch sizes, coalesced deadlines, and the
+//             detection scorecard.  The retired per-item loop's last
+//             figures are in docs/architecture.md.
 //   recovery  wl::run_dining_load with a deterministically deadlocking
 //             ring under each recovery remedy (poison / fault / order);
 //             reports the detection-to-action latency and enforces the
@@ -41,7 +42,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -54,24 +55,6 @@
 using namespace robmon;
 
 namespace {
-
-bool parse_size_list(const std::string& csv, std::vector<std::size_t>* out) {
-  std::stringstream stream(csv);
-  std::string token;
-  while (std::getline(stream, token, ',')) {
-    if (token.empty()) continue;
-    std::size_t consumed = 0;
-    unsigned long value = 0;
-    try {
-      value = std::stoul(token, &consumed);
-    } catch (const std::exception&) {
-      return false;
-    }
-    if (consumed != token.size() || value == 0) return false;
-    out->push_back(value);
-  }
-  return !out->empty();
-}
 
 struct AppenderRow {
   std::size_t threads = 0;
@@ -158,7 +141,7 @@ int main(int argc, char** argv) {
   flags.define("faulty-fraction", "0.125",
                "fraction of monitors given one injected fault (min 1)");
   flags.define("pool-threads", "0",
-               "K for the shared pool; 0 = hardware concurrency");
+               "pool workers K; 0 = hardware concurrency");
   flags.define("check-period-ms", "2", "checking cadence per monitor");
   flags.define("max-stretch", "4",
                "adaptive-cadence ceiling for the adaptive engine shape");
@@ -178,9 +161,11 @@ int main(int argc, char** argv) {
                "machine-readable results file");
   if (!flags.parse(argc, argv)) return 1;
 
-  std::vector<std::size_t> monitor_sweep, appender_sweep;
-  if (!parse_size_list(flags.str("monitors"), &monitor_sweep) ||
-      !parse_size_list(flags.str("appender-threads"), &appender_sweep)) {
+  const std::optional<std::vector<std::size_t>> monitor_sweep =
+      flags.positive_list("monitors");
+  const std::optional<std::vector<std::size_t>> appender_sweep =
+      flags.positive_list("appender-threads");
+  if (!monitor_sweep || !appender_sweep) {
     std::fprintf(stderr,
                  "--monitors/--appender-threads must be comma-separated "
                  "positive integers\n");
@@ -217,7 +202,7 @@ int main(int argc, char** argv) {
     }
     appender_rows.push_back(std::move(row));
   };
-  for (const std::size_t threads : appender_sweep) {
+  for (const std::size_t threads : *appender_sweep) {
     const std::size_t shards =
         std::min(threads, trace::EventLog::kDefaultShards);
     run_appender_row(threads, shards, 0, 0);
@@ -226,27 +211,49 @@ int main(int argc, char** argv) {
   // deliberately undersized ring with a stalled drain, so the run must
   // spill to the bounded overflow list and then drop *with accounting*.
   const std::size_t stress_threads =
-      *std::max_element(appender_sweep.begin(), appender_sweep.end());
+      *std::max_element(appender_sweep->begin(), appender_sweep->end());
   run_appender_row(stress_threads, /*shards=*/1, /*ring_capacity=*/1 << 12,
                    /*overflow_capacity=*/1 << 15);
 
-  // --- Pool sweep: per-item vs batched vs batched+adaptive vs batched
-  // with the lock-order prediction checkpoint on (the "predict" column
-  // isolates the per-check fold overhead of the order relation; detection
-  // scorecard must stay perfect and zero kPotentialDeadlock may fire).
+  // --- Pool sweep: batched vs batched+adaptive vs batched with the
+  // lock-order prediction checkpoint on (the "predict" column isolates the
+  // per-check fold overhead of the order relation; detection scorecard
+  // must stay perfect and zero kPotentialDeadlock may fire).
   struct Shape {
     const char* name;
-    std::size_t max_batch;
     double max_stretch;
     bool lockorder;
   };
   const double stretch = flags.f64("max-stretch");
   const Shape shapes[] = {
-      {"per-item", 1, 1.0, false},
-      {"batched", 0, 1.0, false},
-      {"adaptive", 0, stretch, false},
-      {"predict", 0, 1.0, true},
+      {"batched", 1.0, false},
+      {"adaptive", stretch, false},
+      {"predict", 1.0, true},
   };
+
+  const auto multi_options = [&](std::size_t monitors, const Shape& shape) {
+    wl::MultiLoadOptions options;
+    options.monitors = monitors;
+    options.threads_per_monitor =
+        static_cast<int>(flags.i64("threads-per-monitor"));
+    options.ops_per_thread = flags.i64("ops-per-thread");
+    options.faulty_monitors = std::max<std::size_t>(
+        1, static_cast<std::size_t>(static_cast<double>(monitors) *
+                                    flags.f64("faulty-fraction")));
+    options.pool_threads = static_cast<std::size_t>(flags.i64("pool-threads"));
+    options.check_period = flags.i64("check-period-ms") * util::kMillisecond;
+    options.max_stretch = shape.max_stretch;
+    if (shape.lockorder) {
+      options.lockorder_checkpoint_period =
+          flags.i64("predict-period-ms") * util::kMillisecond;
+    }
+    return options;
+  };
+  // One unrecorded run first: the process's first run_multi_load pays
+  // one-time costs (thread stacks, allocator growth, cold code paths) that
+  // would otherwise inflate whichever row happens to run first — measured
+  // at ~3x the warm per-check time for the first M=8 row.
+  wl::run_multi_load(multi_options(monitor_sweep->front(), shapes[0]));
 
   std::vector<PoolRow> pool_rows;
   bool detection_failed = false;
@@ -254,27 +261,9 @@ int main(int argc, char** argv) {
       "\n%8s %10s %10s %12s %12s %9s %12s %10s %8s\n", "monitors", "mode",
       "checks", "per-chk-us", "disp/1kchk", "avg-batch", "coalesced",
       "faults", "missed");
-  for (const std::size_t monitors : monitor_sweep) {
+  for (const std::size_t monitors : *monitor_sweep) {
     for (const Shape& shape : shapes) {
-      wl::MultiLoadOptions options;
-      options.monitors = monitors;
-      options.threads_per_monitor =
-          static_cast<int>(flags.i64("threads-per-monitor"));
-      options.ops_per_thread = flags.i64("ops-per-thread");
-      options.faulty_monitors = std::max<std::size_t>(
-          1, static_cast<std::size_t>(static_cast<double>(monitors) *
-                                      flags.f64("faulty-fraction")));
-      options.mode = wl::CheckerMode::kSharedPool;
-      options.pool_threads =
-          static_cast<std::size_t>(flags.i64("pool-threads"));
-      options.check_period = flags.i64("check-period-ms") * util::kMillisecond;
-      options.max_batch = shape.max_batch;
-      options.max_stretch = shape.max_stretch;
-      if (shape.lockorder) {
-        options.lockorder_checkpoint_period =
-            flags.i64("predict-period-ms") * util::kMillisecond;
-      }
-
+      const wl::MultiLoadOptions options = multi_options(monitors, shape);
       PoolRow row;
       row.monitors = monitors;
       row.mode = shape.name;
@@ -344,9 +333,9 @@ int main(int argc, char** argv) {
   }
 
   // --- Budget spike: global detection budget under a 10× load spike. ---------
-  std::vector<std::size_t> budget_phases;
-  if (!parse_size_list(flags.str("budget-phases-ms"), &budget_phases) ||
-      budget_phases.size() != 3) {
+  const std::optional<std::vector<std::size_t>> budget_phases =
+      flags.positive_list("budget-phases-ms");
+  if (!budget_phases || budget_phases->size() != 3) {
     std::fprintf(stderr,
                  "--budget-phases-ms must be baseline,spike,post (ms)\n");
     return 1;
@@ -354,11 +343,11 @@ int main(int argc, char** argv) {
   wl::BudgetSpikeOptions budget_options;
   budget_options.budget.fraction = flags.f64("budget-fraction");
   budget_options.baseline_ns =
-      static_cast<util::TimeNs>(budget_phases[0]) * util::kMillisecond;
+      static_cast<util::TimeNs>((*budget_phases)[0]) * util::kMillisecond;
   budget_options.spike_ns =
-      static_cast<util::TimeNs>(budget_phases[1]) * util::kMillisecond;
+      static_cast<util::TimeNs>((*budget_phases)[1]) * util::kMillisecond;
   budget_options.post_ns =
-      static_cast<util::TimeNs>(budget_phases[2]) * util::kMillisecond;
+      static_cast<util::TimeNs>((*budget_phases)[2]) * util::kMillisecond;
   const wl::BudgetSpikeResult budget = wl::run_budget_spike(budget_options);
 
   // The spike-phase contract: measured detection spend within 1.5× of the

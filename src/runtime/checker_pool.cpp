@@ -20,6 +20,9 @@ constexpr util::TimeNs kMinPeriodNs = 100'000;  // 100us
 /// the adaptive-cadence controller.
 constexpr double kIdleEventsEwma = 0.5;
 
+/// EWMA weight of the newest drained segment size in the idle estimate.
+constexpr double kEventsEwmaAlpha = 0.25;
+
 /// Deadlines and durations are backend wall-clock: Options::clock only feeds
 /// the detection rules, so a frozen ManualClock must not stall the cadence.
 /// Under SimBackend this is the scheduler's virtual clock, which only a
@@ -46,10 +49,6 @@ std::size_t clamp_threads(std::size_t requested) {
 CheckerPool::CheckerPool(Options options)
     : clock_(options.clock),
       configured_threads_(clamp_threads(options.threads)),
-      batch_window_(options.batch_window),
-      max_batch_(options.max_batch),
-      backlog_policy_(options.backlog_policy),
-      max_backlog_(options.max_backlog),
       waitfor_period_(options.waitfor_checkpoint_period > 0
                           ? std::max(options.waitfor_checkpoint_period,
                                      kMinPeriodNs)
@@ -117,10 +116,6 @@ CheckerPool::MonitorId CheckerPool::add_impl(EventSink& source,
   if (options.max_stretch < 1.0) {
     throw std::invalid_argument(
         "CheckerPool::add: max_stretch must be >= 1");
-  }
-  if (options.ewma_alpha <= 0.0 || options.ewma_alpha > 1.0) {
-    throw std::invalid_argument(
-        "CheckerPool::add: ewma_alpha must be in (0, 1]");
   }
   auto entry = std::make_unique<Entry>();
   entry->monitor = &source;
@@ -448,8 +443,8 @@ core::Detector::CheckStats CheckerPool::run_check(Entry& entry,
   if (occupied_out != nullptr) {
     *occupied_out = state->has_running() || state->blocked_count() > 0;
   }
-  if (waitfor_enabled() && entry.options.contribute_wait_edges) {
-    contribute_wait_edges(entry, *state);
+  if (waitfor_enabled()) {
+    fold_wait_edges(entry, *state);
   }
   if (lockorder_enabled() && entry.options.contribute_lock_order &&
       !budget_.shed_prediction()) {
@@ -457,7 +452,7 @@ core::Detector::CheckStats CheckerPool::run_check(Entry& entry,
     // half of prediction's cost (the observe() join).  Edges missed while
     // shed are simply not recorded — the relation is advisory, and the
     // certified-interval join never fabricates, so resuming is safe.
-    contribute_lock_order(entry, *state);
+    fold_lock_order(entry, *state);
   }
   if (entry.options.on_checkpoint) entry.options.on_checkpoint(*state);
   return stats;
@@ -476,9 +471,8 @@ void CheckerPool::update_cadence_locked(
   const double boost = budget_.stretch_boost();
   const double widen = budget_.widen_factor();
   const double ceiling = std::max(1.0, entry.options.max_stretch * boost);
-  const double alpha = entry.options.ewma_alpha;
-  entry.ewma_events = alpha * static_cast<double>(stats.events) +
-                      (1.0 - alpha) * entry.ewma_events;
+  entry.ewma_events = kEventsEwmaAlpha * static_cast<double>(stats.events) +
+                      (1.0 - kEventsEwmaAlpha) * entry.ewma_events;
   // Symmetric recovery: a ceiling that shrank back (boost returned to 1)
   // re-clamps stretch retained from the pressure episode immediately.
   entry.stretch = std::min(entry.stretch, ceiling);
@@ -533,22 +527,15 @@ util::TimeNs CheckerPool::next_due_locked(Entry& entry, util::TimeNs due,
   const util::TimeNs next = due + period;
   if (next > finished) return next;  // on schedule (includes pulled-forward)
   // The check outlasted its period: `missed` deadlines fell due while it
-  // ran.  kCoalesce slips the grid (the next check's drained segment covers
-  // them); kRunAll re-runs them back-to-back, at most max_backlog deep.
+  // ran.  Slip the grid; the next check's drained segment covers them.
   const std::uint64_t missed =
       static_cast<std::uint64_t>((finished - next) / period) + 1;
-  if (backlog_policy_ == BacklogPolicy::kRunAll) {
-    const std::uint64_t backlog =
-        std::min<std::uint64_t>(missed, max_backlog_);
-    checks_coalesced_.fetch_add(missed - backlog, std::memory_order_relaxed);
-    return finished - static_cast<util::TimeNs>(backlog - 1) * period;
-  }
   checks_coalesced_.fetch_add(missed, std::memory_order_relaxed);
   return finished + period;
 }
 
-void CheckerPool::contribute_wait_edges(const Entry& entry,
-                                        const trace::SchedulingState& state) {
+void CheckerPool::fold_wait_edges(const Entry& entry,
+                                  const trace::SchedulingState& state) {
   // Resolve names and copy queues outside the graph lock; only the swap-in
   // (and the epoch stamp) happens under it.
   core::WaitContribution contribution = core::make_wait_contribution(
@@ -559,8 +546,8 @@ void CheckerPool::contribute_wait_edges(const Entry& entry,
   graph_.update(std::move(contribution));
 }
 
-void CheckerPool::contribute_lock_order(const Entry& entry,
-                                        const trace::SchedulingState& state) {
+void CheckerPool::fold_lock_order(const Entry& entry,
+                                  const trace::SchedulingState& state) {
   // observe() joins this snapshot against every other monitor's current
   // accesses, so the whole fold runs under the order-graph lock.  The
   // access sets are one snapshot deep per monitor, keeping the join small.
@@ -668,11 +655,6 @@ std::size_t CheckerPool::run_waitfor_checkpoint() {
   // restoring normal service on the victim monitor.
   if (recovery_enabled()) complete_recoveries(confirmed_keys);
   return confirmed_count;
-}
-
-std::uint64_t CheckerPool::waitfor_epoch() const {
-  std::lock_guard<sync::BackendMutex> lock(graph_mu_);
-  return graph_epoch_;
 }
 
 std::size_t CheckerPool::waitfor_graph_monitors() const {
@@ -930,18 +912,15 @@ void CheckerPool::worker_loop() {
     }
 
     // --- Form a batch: every monitor due now, plus near-due monitors
-    // within the batch window.  One dispatch amortizes the heap pops, the
-    // condvar wake-up and the rule-clock read across the whole batch.
-    // Batch size cap: an explicit max_batch wins; otherwise split the
-    // backlog across the pool's workers (heap size / K, min 1) so one
-    // worker never serializes a whole due wave while its K-1 peers idle.
-    // On a single-worker pool the auto cap is the full wave.
+    // within one check period of the head monitor.  One dispatch amortizes
+    // the heap pops, the condvar wake-up and the rule-clock read across the
+    // whole batch.  The cap splits the wave across the pool's workers (heap
+    // size / K, min 1) so one worker never serializes a whole due wave
+    // while its K-1 peers idle; on a single-worker pool it is the full wave.
     batch.clear();
     const std::size_t batch_cap =
-        max_batch_ != 0
-            ? max_batch_
-            : std::max<std::size_t>(1, heap_.size() / configured_threads_);
-    util::TimeNs window = batch_window_;
+        std::max<std::size_t>(1, heap_.size() / configured_threads_);
+    util::TimeNs window = 0;
     while (!heap_.empty() && batch.size() < batch_cap) {
       const HeapItem item = heap_.top();
       if (item.id < kFirstMonitorId) break;  // checkpoints dispatch alone
@@ -953,7 +932,7 @@ void CheckerPool::worker_loop() {
       }
       if (batch.empty()) {
         if (item.due > now) break;  // head raced away (stale pops)
-        if (window < 0) window = it->second->period;  // auto: head quantum
+        window = it->second->period;
       } else if (item.due > now + window) {
         break;
       }
@@ -999,7 +978,6 @@ void CheckerPool::worker_loop() {
         std::lock_guard<sync::BackendMutex> check_lock(entry.check_mu);
         slot.stats = run_check(entry, rule_now, &slot.occupied);
       }
-      batched_checks_.fetch_add(1, std::memory_order_relaxed);
       // Retire the slot as soon as its check completes — cadence update,
       // reschedule, busy release — so a waiting unschedule()/remove() of
       // this monitor (e.g. a RobustMonitor destructor) resumes after this
@@ -1008,8 +986,8 @@ void CheckerPool::worker_loop() {
       {
         std::lock_guard<sync::BackendMutex> relock(mu_);
         // Deadlines restart from the item's original due time, so checks
-        // the window pulled forward keep their cadence grid; the backlog
-        // policy bounds what happens when a check outlasts its period.
+        // the window pulled forward keep their cadence grid; a check that
+        // outlasts its period coalesces the slots it missed.
         if (entry.scheduled && entry.generation == slot.item.generation) {
           update_cadence_locked(entry, slot.stats, slot.occupied);
           heap_.push({next_due_locked(entry, slot.item.due, wall_now()),

@@ -14,23 +14,20 @@
 // the engine.
 //
 // Batched dispatch: a dispatching worker pops not just the due head but
-// every monitor due within Options::batch_window of now (default: one
-// check-period quantum of the head monitor), then runs the batch's checks
-// back-to-back outside the scheduler lock.  This amortizes heap operations,
-// condvar wake-ups, lock acquisitions and rule-clock reads (one
-// Clock::now_ns() per batch, not per check) across the batch — at M=256
-// monitors on one cadence, the per-item loop paid one dispatch per check.
-// Options::max_batch = 1 reproduces the per-item engine (the bench
-// baseline).  Checks pulled forward by the window are rescheduled from
-// their *original* deadline, so the cadence grid is preserved.
+// every monitor due within one check period of the head monitor, then runs
+// the batch's checks back-to-back outside the scheduler lock.  This
+// amortizes heap operations, condvar wake-ups, lock acquisitions and
+// rule-clock reads (one Clock::now_ns() per batch, not per check) across
+// the batch.  A batch holds at most heap size / K checks, so one worker
+// never serializes a whole due wave while its peers idle.  Checks pulled
+// forward by the window are rescheduled from their *original* deadline, so
+// the cadence grid is preserved.
 //
-// Backlog policy: when a check outlasts its (effective) period, the next
-// deadline is already in the past.  kCoalesce (default) slips the grid —
-// the missed slots are absorbed by the next check (the drained segment
-// covers them) and counted in checks_coalesced().  kRunAll catches up with
-// back-to-back checks, bounded by Options::max_backlog; slots beyond the
-// bound are coalesced.  Neither policy lets a slow monitor starve the rest
-// of the pool: catch-up items re-enter the shared heap like any other.
+// Backlog: when a check outlasts its (effective) period, the next deadline
+// is already in the past.  The pool slips the grid — the missed slots are
+// absorbed by the next check (the drained segment covers them) and counted
+// in checks_coalesced() — so a slow monitor never runs a catch-up burst,
+// and never starves the rest of the pool.
 //
 // Adaptive cadence: MonitorOptions::max_stretch > 1 lets an *idle* monitor
 // be checked lazily — its effective period stretches geometrically from
@@ -160,13 +157,6 @@ namespace robmon::rt {
 
 class CheckerPool {
  public:
-  /// What to do with the deadlines a monitor missed because its check
-  /// outlasted its (effective) period.
-  enum class BacklogPolicy {
-    kCoalesce,  ///< Slip the grid; the next check absorbs the backlog.
-    kRunAll,    ///< Catch up back-to-back, at most max_backlog deep.
-  };
-
   struct Options {
     /// Worker threads K; 0 means "hardware concurrency".  Always clamped to
     /// [1, hardware concurrency].
@@ -178,19 +168,6 @@ class CheckerPool {
     /// SimScheduler's virtual clock under ROBMON_SYNC_BACKEND_SIM — rules
     /// and cadence then share one deterministic timeline.
     const util::Clock* clock = sync::backend_clock();
-    /// Batch window W: a dispatching worker also drains monitors due within
-    /// W of now, amortizing wake-ups across near-simultaneous deadlines.
-    /// -1 = auto (the dispatch head's own check period — one quantum);
-    /// 0 = only monitors already due.
-    util::TimeNs batch_window = -1;
-    /// Cap on checks per dispatch; 0 = unbounded.  1 reproduces the
-    /// per-item engine (one dispatch per check) — the bench baseline.
-    std::size_t max_batch = 0;
-    /// Missed-deadline handling for checks that outlast their period.
-    BacklogPolicy backlog_policy = BacklogPolicy::kCoalesce;
-    /// kRunAll only: deepest allowed catch-up backlog (checks); missed
-    /// slots beyond it are coalesced.
-    std::size_t max_backlog = 4;
     /// Cadence of the pool-level wait-for checkpoint (wall-clock, like the
     /// check cadence).  0 disables cross-monitor deadlock detection.
     util::TimeNs waitfor_checkpoint_period = 0;
@@ -234,9 +211,6 @@ class CheckerPool {
     /// Keep monitor traffic suspended while the algorithms run (paper
     /// behaviour).  false = release the gate right after the snapshot.
     bool hold_gate_during_check = true;
-    /// Fold this monitor's snapshots into the pool-level wait-for graph
-    /// (no-op unless Options::waitfor_checkpoint_period is set).
-    bool contribute_wait_edges = true;
     /// Fold this monitor's snapshots into the pool-level acquisition-order
     /// relation (no-op unless Options::lockorder_checkpoint_period is set).
     bool contribute_lock_order = true;
@@ -245,8 +219,6 @@ class CheckerPool {
     /// stretches up to check_period × max_stretch.  1.0 = fixed cadence.
     /// Must be ≥ 1.
     double max_stretch = 1.0;
-    /// EWMA weight of the newest segment size in the idle estimate.
-    double ewma_alpha = 0.25;
     /// Synchronous in-path checking vs the offloaded pool path.  kInline
     /// monitors stay off the worker heap while nominal; the call site is
     /// responsible for polling check_inline() (RobustMonitor does this at
@@ -342,8 +314,6 @@ class CheckerPool {
 
   /// Worker threads currently running (0 until the first schedule()).
   std::size_t thread_count() const;
-  /// Worker threads the pool will run once started (the clamped K).
-  std::size_t configured_threads() const { return configured_threads_; }
   std::size_t monitor_count() const;
   std::size_t scheduled_count() const;
 
@@ -359,16 +329,12 @@ class CheckerPool {
     return checks_executed_.load(std::memory_order_relaxed);
   }
   /// Worker dispatches: scheduler-lock acquire → run transitions (one per
-  /// batch, plus one per checkpoint pass).  The per-item engine pays one
-  /// per check; dispatches()/checks_executed() is the amortization factor.
+  /// batch, plus one per checkpoint pass); checks_executed()/dispatches()
+  /// is the amortization factor.
   std::uint64_t dispatches() const {
     return dispatches_.load(std::memory_order_relaxed);
   }
-  /// Checks executed by periodic batch dispatch (excludes check_now).
-  std::uint64_t batched_checks() const {
-    return batched_checks_.load(std::memory_order_relaxed);
-  }
-  /// Missed deadlines absorbed by the backlog policy.
+  /// Missed deadlines absorbed by slipping the cadence grid.
   std::uint64_t checks_coalesced() const {
     return checks_coalesced_.load(std::memory_order_relaxed);
   }
@@ -397,8 +363,6 @@ class CheckerPool {
   std::uint64_t deadlocks_reported() const {
     return deadlocks_reported_.load(std::memory_order_relaxed);
   }
-  /// Current checkpoint epoch (bumped at the start of every pass).
-  std::uint64_t waitfor_epoch() const;
   /// Monitors currently contributing edges to the wait-for graph.
   std::size_t waitfor_graph_monitors() const;
 
@@ -442,8 +406,6 @@ class CheckerPool {
 
   /// Current overhead-budget degradation level (kNominal when disabled).
   BudgetLevel budget_level() const { return budget_.level(); }
-  /// Spend EWMA: fraction of wall-clock time the pool spends checking.
-  double budget_spend() const { return budget_.spend_ewma(); }
   std::uint64_t budget_transitions() const { return budget_.transitions(); }
   /// Copy of the transition log, in order — the codec v6 `bdgt` records a
   /// trace export attaches.
@@ -522,7 +484,7 @@ class CheckerPool {
                              const core::Detector::CheckStats& stats,
                              bool occupied);
   /// Next deadline after a check scheduled at `due` finished at `finished`,
-  /// applying the backlog policy.  mu_ held.
+  /// coalescing any missed slots.  mu_ held.
   util::TimeNs next_due_locked(Entry& entry, util::TimeNs due,
                                util::TimeNs finished);
   /// Handle a due pool-level checkpoint heap item (`id` names which of the
@@ -537,11 +499,9 @@ class CheckerPool {
     return lockorder_period_ > 0 && lockorder_sink_ != nullptr;
   }
   /// Fold `state` into the wait-for graph as `entry`'s current edge set.
-  void contribute_wait_edges(const Entry& entry,
-                             const trace::SchedulingState& state);
+  void fold_wait_edges(const Entry& entry, const trace::SchedulingState& state);
   /// Fold `state` into the acquisition-order relation.
-  void contribute_lock_order(const Entry& entry,
-                             const trace::SchedulingState& state);
+  void fold_lock_order(const Entry& entry, const trace::SchedulingState& state);
   /// Live validation: re-snapshot the cycle's monitors and require every
   /// link to still hold (same blocking episode, same hold episode).
   bool validate_cycle(const core::DeadlockCycle& cycle);
@@ -578,10 +538,6 @@ class CheckerPool {
 
   const util::Clock* clock_;
   std::size_t configured_threads_;
-  util::TimeNs batch_window_ = -1;
-  std::size_t max_batch_ = 0;
-  BacklogPolicy backlog_policy_ = BacklogPolicy::kCoalesce;
-  std::size_t max_backlog_ = 4;
   util::TimeNs waitfor_period_ = 0;
   core::ReportSink* waitfor_sink_ = nullptr;
   util::TimeNs lockorder_period_ = 0;
@@ -610,7 +566,7 @@ class CheckerPool {
   mutable sync::BackendMutex graph_mu_;
   core::WaitForGraph graph_;
   /// Bumped per checkpoint pass and stamped into contributions — the
-  /// version telemetry behind waitfor_epoch()/WaitContribution::epoch.
+  /// version telemetry behind WaitContribution::epoch.
   /// Exactness comes from live validation, not epoch gating: filtering
   /// candidates by epoch would lose monitors whose check cadence is slower
   /// than the checkpoint cadence.
@@ -648,7 +604,6 @@ class CheckerPool {
 
   std::atomic<std::uint64_t> checks_executed_{0};
   std::atomic<std::uint64_t> dispatches_{0};
-  std::atomic<std::uint64_t> batched_checks_{0};
   std::atomic<std::uint64_t> checks_coalesced_{0};
   std::atomic<std::uint64_t> total_quiesce_ns_{0};
   std::atomic<std::uint64_t> total_check_ns_{0};

@@ -61,10 +61,6 @@ class RobustMonitor {
     /// one-thread pool.  hold_gate_during_check stays a per-monitor policy
     /// either way.
     CheckerPool* checker_pool = nullptr;
-    /// Contribute this monitor's snapshots to the pool's cross-monitor
-    /// wait-for graph (only meaningful when the pool has its wait-for
-    /// checkpoint enabled).
-    bool contribute_wait_edges = true;
     /// Contribute this monitor's snapshots to the pool's lock-order
     /// prediction relation (only meaningful when the pool has its
     /// prediction checkpoint enabled).

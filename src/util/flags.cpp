@@ -1,6 +1,7 @@
 #include "util/flags.hpp"
 
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -64,6 +65,26 @@ double Flags::f64(const std::string& name) const {
 bool Flags::boolean(const std::string& name) const {
   const std::string v = str(name);
   return v == "true" || v == "1" || v == "yes" || v == "on";
+}
+
+std::optional<std::vector<std::size_t>> Flags::positive_list(
+    const std::string& name) const {
+  const std::string csv = str(name);
+  std::vector<std::size_t> values;
+  std::size_t begin = 0;
+  while (begin <= csv.size()) {
+    std::size_t end = csv.find(',', begin);
+    if (end == std::string::npos) end = csv.size();
+    const char* last = csv.data() + end;
+    // For an unsigned type std::from_chars takes digits only: no sign, no
+    // whitespace, no empty token, and an overflow is an error, not a wrap.
+    std::size_t value = 0;
+    const auto [ptr, ec] = std::from_chars(csv.data() + begin, last, value);
+    if (ec != std::errc() || ptr != last || value == 0) return std::nullopt;
+    values.push_back(value);
+    begin = end + 1;
+  }
+  return values;
 }
 
 std::string Flags::usage(const std::string& program) const {

@@ -5,6 +5,7 @@
 // error path (collected errors, one formatted report).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -26,6 +27,11 @@ class Flags {
   std::int64_t i64(const std::string& name) const;
   double f64(const std::string& name) const;
   bool boolean(const std::string& name) const;
+  /// Comma-separated list of positive integers ("1,8,64").  nullopt when
+  /// the list is empty, or when any token is empty, holds anything but
+  /// ASCII digits (a sign, a space), is zero, or overflows std::size_t.
+  std::optional<std::vector<std::size_t>> positive_list(
+      const std::string& name) const;
 
   /// Positional (non-flag) arguments in order.
   const std::vector<std::string>& positional() const { return positional_; }

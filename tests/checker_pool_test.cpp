@@ -289,29 +289,21 @@ TEST(CheckerPoolTest, FrozenManualClockDoesNotStallPeriodicChecking) {
   EXPECT_EQ(sink.count(), 0u);
 }
 
-TEST(MultiLoadTest, BothCheckerModesMissNothing) {
-  for (const wl::CheckerMode mode :
-       {wl::CheckerMode::kThreadPerMonitor, wl::CheckerMode::kSharedPool}) {
-    wl::MultiLoadOptions options;
-    options.monitors = 6;
-    options.threads_per_monitor = 2;
-    options.ops_per_thread = 100;
-    options.faulty_monitors = 2;
-    options.mode = mode;
-    options.check_period = 2 * kMillisecond;
-    options.mix_gate_policies = true;
-    const wl::MultiLoadResult result = wl::run_multi_load(options);
-    EXPECT_EQ(result.missed_detections, 0u);
-    EXPECT_EQ(result.faulty_detected, 2u);
-    EXPECT_EQ(result.false_positive_monitors, 0u);
-    EXPECT_GT(result.checks_run, 0u);
-    if (mode == wl::CheckerMode::kThreadPerMonitor) {
-      EXPECT_EQ(result.checker_threads, 6u);
-    } else {
-      EXPECT_LE(result.checker_threads,
-                std::max(1u, std::thread::hardware_concurrency()));
-    }
-  }
+TEST(MultiLoadTest, SharedPoolMissesNothing) {
+  wl::MultiLoadOptions options;
+  options.monitors = 6;
+  options.threads_per_monitor = 2;
+  options.ops_per_thread = 100;
+  options.faulty_monitors = 2;
+  options.check_period = 2 * kMillisecond;
+  options.mix_gate_policies = true;
+  const wl::MultiLoadResult result = wl::run_multi_load(options);
+  EXPECT_EQ(result.missed_detections, 0u);
+  EXPECT_EQ(result.faulty_detected, 2u);
+  EXPECT_EQ(result.false_positive_monitors, 0u);
+  EXPECT_GT(result.checks_run, 0u);
+  EXPECT_LE(result.checker_threads,
+            std::max(1u, std::thread::hardware_concurrency()));
 }
 
 }  // namespace

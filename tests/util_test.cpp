@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "util/clock.hpp"
 #include "util/flags.hpp"
@@ -180,6 +183,25 @@ TEST(FlagsTest, PositionalCollected) {
   ASSERT_EQ(flags.positional().size(), 2u);
   EXPECT_EQ(flags.positional()[0], "file1");
   EXPECT_EQ(flags.positional()[1], "file2");
+}
+
+TEST(FlagsTest, PositiveListRejectsAnythingButPositiveDigits) {
+  const auto list = [](const char* value) {
+    Flags flags;
+    flags.define("list", "1", "");
+    const std::string arg = std::string("--list=") + value;
+    const char* argv[] = {"prog", arg.c_str()};
+    EXPECT_TRUE(flags.parse(2, const_cast<char**>(argv)));
+    return flags.positive_list("list");
+  };
+  // "-1" would wrap to 2^64 - 1 under std::stoul.
+  for (const char* bad : {"-1", "+8", " 8", "8 ", "abc", "0", "", "1,,8",
+                          "8,", "1,-1", "99999999999999999999999"}) {
+    EXPECT_FALSE(list(bad).has_value()) << "accepted '" << bad << "'";
+  }
+  const std::optional<std::vector<std::size_t>> good = list("1,8,64");
+  ASSERT_TRUE(good.has_value());
+  EXPECT_EQ(*good, (std::vector<std::size_t>{1, 8, 64}));
 }
 
 TEST(ClockTest, ManualClockAdvances) {
