@@ -5,8 +5,10 @@
 //   pthread_baseline   an uncontended pthread_mutex lock/unlock pair with
 //                      no adaptation — what the host paid before the shim
 //   adapter_push       the lock_acquired + unlocked push pair alone (ring
-//                      drained concurrently, steady state: the pure
-//                      per-operation adapter cost)
+//                      discarded concurrently, the pool's own consumer
+//                      path; steady state: the pure per-operation adapter
+//                      cost — one clock read, taken by the acquire, and
+//                      two ring pushes per pair)
 //   adapter_backpressure  the same pair against a deliberately tiny ring
 //                      with no drainer: every push folds the backlog
 //                      inline — the documented worst case, bounded and
@@ -66,12 +68,12 @@ double bench_adapter_push(std::int64_t iters) {
   SyntheticMonitor monitor("bench", SyntheticMonitor::Kind::kMutex,
                            robmon::util::SteadyClock::instance(),
                            config_with_ring(1 << 16));
-  // A steady-state drainer stands in for the pool's periodic drain: the
+  // A steady-state drainer stands in for the pool's periodic discard: the
   // producer should almost never find the ring full.
   std::atomic<bool> stop_drain{false};
   std::thread drainer([&] {
     while (!stop_drain.load(std::memory_order_acquire)) {
-      (void)monitor.drain_segment();
+      (void)monitor.discard_segment();
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
   });
@@ -111,7 +113,7 @@ double bench_adapter_mt(std::int64_t iters, int threads) {
   std::atomic<bool> stop_drain{false};
   std::thread drainer([&] {
     while (!stop_drain.load(std::memory_order_acquire)) {
-      (void)monitor.drain_segment();
+      (void)monitor.discard_segment();
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
   });

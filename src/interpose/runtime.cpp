@@ -1,6 +1,7 @@
 #include "interpose/runtime.hpp"
 
 #include <pthread.h>
+#include <sched.h>
 #include <sys/syscall.h>
 #include <unistd.h>
 
@@ -16,8 +17,12 @@ namespace robmon::interpose {
 
 namespace {
 
-thread_local int t_depth = 0;
-thread_local bool t_internal = false;
+// Initial-exec: the wrappers read these on every call, and in the PIC
+// preload library the default model would cost a __tls_get_addr call per
+// access.  Fine under LD_PRELOAD; a dlopen'ed copy draws on the static-TLS
+// surplus.
+[[gnu::tls_model("initial-exec")]] thread_local int t_depth = 0;
+[[gnu::tls_model("initial-exec")]] thread_local bool t_internal = false;
 
 std::atomic<Runtime*> g_runtime{nullptr};
 std::mutex g_init_mu;
@@ -79,7 +84,7 @@ bool ReentryGuard::internal() { return t_internal; }
 void ReentryGuard::mark_internal() { t_internal = true; }
 
 Tid self_tid() {
-  thread_local Tid tid = 0;
+  [[gnu::tls_model("initial-exec")]] thread_local Tid tid = 0;
   if (tid == 0) tid = static_cast<Tid>(::syscall(SYS_gettid));
   return tid;
 }
@@ -215,7 +220,10 @@ SyntheticMonitor* Runtime::monitor_for(const void* addr,
     if (current == key) {
       SyntheticMonitor* monitor = slot.monitor.load(std::memory_order_acquire);
       while (monitor == nullptr) {
-        // Claimed but not yet published: the claimant is constructing.
+        // Claimed but not yet published: the claimant is constructing
+        // (pool mutex, allocations).  Yield rather than spin away its
+        // timeslice on a 1-CPU host; sched_yield is not interposed.
+        ::sched_yield();
         monitor = slot.monitor.load(std::memory_order_acquire);
       }
       return monitor;
@@ -247,24 +255,27 @@ void Runtime::flush(std::FILE* out) {
     monitors = monitors_;
   }
   std::uint64_t lost = 0;
+  std::uint64_t backpressure = 0;
   for (SyntheticMonitor* monitor : monitors) {
     lost += monitor->events_lost();
+    backpressure += monitor->backpressure_syncs();
   }
   std::fprintf(out,
                "robmon: summary monitors=%zu faults=%llu deadlocks=%llu "
-               "order_warnings=%llu passthrough=%llu events_lost=%llu\n",
+               "order_warnings=%llu passthrough=%llu events_lost=%llu "
+               "backpressure=%llu\n",
                monitors.size(),
                static_cast<unsigned long long>(sink_.total()),
                static_cast<unsigned long long>(sink_.deadlocks()),
                static_cast<unsigned long long>(sink_.order_warnings()),
                static_cast<unsigned long long>(passthroughs()),
-               static_cast<unsigned long long>(lost));
+               static_cast<unsigned long long>(lost),
+               static_cast<unsigned long long>(backpressure));
   if (config_.trace_path.empty()) return;
   for (SyntheticMonitor* monitor : monitors) {
-    monitor->snapshot();  // Fold any still-pending ring ops into the log.
     const trace::TraceFile file = trace::make_trace_file(
         monitor->spec().name, std::string(to_string(monitor->spec().type)),
-        monitor->spec().rmax, monitor->symbols(), monitor->log().history(),
+        monitor->spec().rmax, monitor->symbols(), monitor->history(),
         /*checkpoints=*/{}, monitor->events_lost());
     const std::string path =
         config_.trace_path + monitor->spec().name + ".trace";

@@ -5,24 +5,13 @@
 
 namespace robmon::interpose {
 
-namespace {
-
-trace::EventLog::Options log_options(bool retain_history) {
-  trace::EventLog::Options options;
-  options.retain_history = retain_history;
-  options.shards = 1;  // Appends are serialized under apply_mu_.
-  return options;
-}
-
-}  // namespace
-
 SyntheticMonitor::SyntheticMonitor(std::string name, Kind kind,
                                    const util::Clock& clock,
                                    const Config& config)
     : kind_(kind),
+      retain_history_(config.retain_history),
       spec_(core::MonitorSpec::manager(std::move(name))),
       clock_(&clock),
-      log_(log_options(config.retain_history)),
       ring_(config.ring_capacity) {
   spec_.check_period = config.check_period;
   proc_lock_ = symbols_.intern("lock");
@@ -58,7 +47,13 @@ void SyntheticMonitor::cond_signalled(Tid tid, bool broadcast) {
 void SyntheticMonitor::reset() { push(OpKind::kReset, kNoTid); }
 
 void SyntheticMonitor::push(OpKind kind, Tid tid, bool flag) {
-  const Op op{kind, tid, clock_->now_ns(), flag};
+  // A block or a park starts an episode and an acquisition a hold, so
+  // their state carries a time; every other op needs one only for its
+  // record.
+  const bool timed = kind == OpKind::kLockBlocked ||
+                     kind == OpKind::kLockAcquired ||
+                     kind == OpKind::kCondParked || retain_history_;
+  const Op op{kind, tid, timed ? clock_->now_ns() : 0, flag};
   if (ring_.try_push(op)) return;
   // Ring full (the pool's drain cadence fell behind a burst): apply the
   // backlog plus this op inline.  The producer pays one bounded mutex
@@ -85,7 +80,7 @@ void SyntheticMonitor::apply_locked(const Op& op) const {
   switch (op.kind) {
     case OpKind::kLockBlocked:
       entry_queue_.push_back({op.tid, proc_lock_, op.time, ++next_ticket_});
-      log_.append(
+      record_locked(
           trace::EventRecord::enter(op.tid, proc_lock_, false, op.time));
       break;
     case OpKind::kLockAcquired: {
@@ -103,7 +98,7 @@ void SyntheticMonitor::apply_locked(const Op& op) const {
       // time and its resume is implied; only a fast-path acquire records
       // a fresh (immediately admitted) Enter.
       if (entry_queue_.size() == queued) {
-        log_.append(
+        record_locked(
             trace::EventRecord::enter(op.tid, proc_lock_, true, op.time));
       }
       break;
@@ -119,7 +114,7 @@ void SyntheticMonitor::apply_locked(const Op& op) const {
           owner_ = kNoTid;
           owner_since_ = 0;
           owner_ticket_ = 0;
-          log_.append(trace::EventRecord::signal_exit(
+          record_locked(trace::EventRecord::signal_exit(
               op.tid, proc_lock_, trace::kNoSymbol, !entry_queue_.empty(),
               op.time));
         }
@@ -127,7 +122,7 @@ void SyntheticMonitor::apply_locked(const Op& op) const {
       break;
     case OpKind::kCondParked:
       cond_queue_.push_back({op.tid, proc_wait_, op.time, ++next_ticket_});
-      log_.append(
+      record_locked(
           trace::EventRecord::wait(op.tid, proc_wait_, cond_sym_, op.time));
       break;
     case OpKind::kCondUnparked: {
@@ -138,7 +133,7 @@ void SyntheticMonitor::apply_locked(const Op& op) const {
       break;
     }
     case OpKind::kCondSignalled:
-      log_.append(trace::EventRecord::signal_exit(
+      record_locked(trace::EventRecord::signal_exit(
           op.tid, proc_signal_, cond_sym_, !cond_queue_.empty(), op.time));
       break;
     case OpKind::kReset:
@@ -152,10 +147,44 @@ void SyntheticMonitor::apply_locked(const Op& op) const {
   }
 }
 
+void SyntheticMonitor::record_locked(const trace::EventRecord& event) const {
+  ++segment_events_;
+  if (!retain_history_) return;
+  if (segment_.size() >= kMaxSegmentRecords) {
+    lost_.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
+  segment_.push_back(event);
+  segment_.back().seq = next_seq_++;
+}
+
 std::vector<trace::EventRecord> SyntheticMonitor::drain_segment() {
   std::lock_guard<std::mutex> lock(apply_mu_);
   apply_pending_locked();
-  return log_.drain();
+  // The archive is the one copy (retention only; both are empty without).
+  archive_.insert(archive_.end(), segment_.begin(), segment_.end());
+  segment_events_ = 0;
+  std::vector<trace::EventRecord> records;
+  records.swap(segment_);
+  return records;
+}
+
+std::size_t SyntheticMonitor::discard_segment() {
+  std::lock_guard<std::mutex> lock(apply_mu_);
+  apply_pending_locked();
+  archive_.insert(archive_.end(), segment_.begin(), segment_.end());
+  segment_.clear();
+  return std::exchange(segment_events_, 0);
+}
+
+std::vector<trace::EventRecord> SyntheticMonitor::history() const {
+  std::lock_guard<std::mutex> lock(apply_mu_);
+  apply_pending_locked();
+  std::vector<trace::EventRecord> records;
+  records.reserve(archive_.size() + segment_.size());
+  records.insert(records.end(), archive_.begin(), archive_.end());
+  records.insert(records.end(), segment_.begin(), segment_.end());
+  return records;
 }
 
 trace::SchedulingState SyntheticMonitor::snapshot() const {

@@ -28,8 +28,20 @@
 // the application thread never takes a robmon lock while adapting an
 // operation, so the shim cannot deadlock against itself.  The buffered ops
 // are folded into the monitor state under apply_mu_ by whoever needs the
-// state next (the pool's drain/snapshot, or a producer that found the ring
-// full — backpressure applies the backlog inline instead of dropping).
+// state next (the pool's discard/snapshot, or a producer that found the
+// ring full — backpressure applies the backlog inline instead of
+// dropping).  A push reads the clock only when the op's state carries a
+// time (a block, an acquisition or a park starts an episode or a hold);
+// the other ops read it only when records are retained.
+//
+// Events: the pool registers synthetic monitors detector-less, so all it
+// reads of a segment is its size (the cadence controller).  Folding an op
+// therefore only bumps a per-segment event count; EventRecords are built
+// only when Config::retain_history is set (ROBMON_TRACE export), with
+// dense per-monitor seqs and at most kMaxSegmentRecords per segment —
+// records past that bound are counted in events_lost(), never dropped
+// silently.  Without retention drain_segment() returns no records;
+// discard_segment() is the consumer path.
 //
 // Ordering: ops of one monitor are applied in ring claim order, which
 // matches the real-time order of the pushes.  The one exception is a
@@ -53,7 +65,6 @@
 #include "sync/gate.hpp"
 #include "sync/mpsc_ring.hpp"
 #include "trace/event.hpp"
-#include "trace/event_log.hpp"
 #include "trace/snapshot.hpp"
 #include "util/clock.hpp"
 #include "util/ids.hpp"
@@ -73,7 +84,7 @@ class SyntheticMonitor final : public rt::EventSink {
     std::size_t ring_capacity = 1024;
     /// Check cadence the pool reads from spec().
     util::TimeNs check_period = 100 * util::kMillisecond;
-    /// Archive drained events for trace export (ROBMON_TRACE).
+    /// Build and archive EventRecords for trace export (ROBMON_TRACE).
     bool retain_history = false;
   };
 
@@ -108,20 +119,30 @@ class SyntheticMonitor final : public rt::EventSink {
   const core::MonitorSpec& spec() const override { return spec_; }
   const trace::SymbolTable& symbols() const override { return symbols_; }
   sync::CheckerGate& gate() override { return gate_; }
+  /// The retained records of the segment (empty without retention).
   std::vector<trace::EventRecord> drain_segment() override;
-  std::uint64_t events_lost() const override { return log_.events_lost(); }
+  /// Ends the segment and returns its event count, records or not.
+  std::size_t discard_segment() override;
+  std::uint64_t events_lost() const override {
+    return lost_.load(std::memory_order_relaxed);
+  }
   trace::SchedulingState snapshot() const override;
 
   // --- Introspection / export. ----------------------------------------------
 
   Kind kind() const { return kind_; }
-  trace::EventLog& log() { return log_; }
+  /// Every retained record in seq order: the drained segments plus the
+  /// current one (pending ring ops folded first).  Empty without retention.
+  std::vector<trace::EventRecord> history() const;
   /// Full-ring events applied inline by a producer (never dropped).
   std::uint64_t backpressure_syncs() const {
     return backpressure_syncs_.load(std::memory_order_relaxed);
   }
 
  private:
+  /// Retained records per segment; events past it count as lost.
+  static constexpr std::size_t kMaxSegmentRecords = std::size_t{1} << 20;
+
   enum class OpKind : std::uint8_t {
     kLockBlocked,
     kLockAcquired,
@@ -146,9 +167,12 @@ class SyntheticMonitor final : public rt::EventSink {
   /// fold pending ops first.
   void apply_pending_locked() const;
   void apply_locked(const Op& op) const;
+  /// Count one event of the segment; keep its record when retaining.
+  void record_locked(const trace::EventRecord& event) const;
   void erase_entry_wait(Tid tid) const;
 
   const Kind kind_;
+  const bool retain_history_;
   core::MonitorSpec spec_;
   const util::Clock* clock_;
   trace::SymbolTable symbols_;
@@ -158,9 +182,6 @@ class SyntheticMonitor final : public rt::EventSink {
   trace::SymbolId cond_sym_ = trace::kNoSymbol;
 
   sync::CheckerGate gate_;
-  /// Single shard + appends under apply_mu_: total append order, like the
-  /// native monitor's log.
-  mutable trace::EventLog log_;
 
   /// Everything below apply_mu_ is logically part of observation:
   /// snapshot() is const for the pool but must fold pending ops first,
@@ -178,7 +199,16 @@ class SyntheticMonitor final : public rt::EventSink {
   /// blocking episode and per ownership, so the pool's live validation can
   /// tell a continuous wait from a re-formed one without trusting clocks.
   mutable std::uint64_t next_ticket_ = 0;
+  /// Events of the current segment (records or not).
+  mutable std::size_t segment_events_ = 0;
+  /// Retention only: the current segment's records, the drained ones in
+  /// order, and the next dense seq.  Folds append in apply order, so both
+  /// are seq-sorted without a sort.
+  mutable std::vector<trace::EventRecord> segment_;
+  std::vector<trace::EventRecord> archive_;
+  mutable std::uint64_t next_seq_ = 0;
 
+  mutable std::atomic<std::uint64_t> lost_{0};
   std::atomic<std::uint64_t> backpressure_syncs_{0};
 };
 

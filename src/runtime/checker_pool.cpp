@@ -392,8 +392,8 @@ core::Detector::CheckStats CheckerPool::run_check(Entry& entry,
   // definition (evictions and would-block rejections record no events,
   // but admitted non-blocking calls still record theirs), so replaying
   // the window's segment would fabricate ST violations.  Detection is
-  // suspended for the window — segment drained and discarded, snapshot
-  // still taken (the wait-for/order contributions stay fresh) — and
+  // suspended for the window — segment discarded, snapshot still taken
+  // (the wait-for/order contributions stay fresh) — and
   // complete_recoveries() re-baselines the detector when service is
   // restored.  recovery_poisoned() is stable across this function: the
   // poison/unpoison transitions run under entry.check_mu, which every
@@ -403,31 +403,38 @@ core::Detector::CheckStats CheckerPool::run_check(Entry& entry,
   // algorithms — their synthetic stream is not a faithful Hoare history and
   // Algorithms 1-3 would fabricate ST violations over it — but still feed
   // the cadence controller (segment size) and, below, the pool-level
-  // wait-for and lock-order contributions.
+  // wait-for and lock-order contributions.  Only a segment a detector
+  // replays is drained; every other one is discarded by count.
+  std::size_t discarded = 0;
+  const auto collect = [&] {
+    suppressed = entry.monitor->recovery_poisoned();
+    if (entry.detector != nullptr && !suppressed) {
+      segment = entry.monitor->drain_segment();
+    } else {
+      discarded = entry.monitor->discard_segment();
+    }
+    state = entry.monitor->snapshot();
+  };
   const auto evaluate = [&] {
     if (suppressed) return;
     if (entry.detector != nullptr) {
       stats = entry.detector->check(segment, *state, rule_now);
     } else {
-      stats.events = segment.size();
-      stats.idle = segment.empty();
+      stats.events = discarded;
+      stats.idle = discarded == 0;
     }
   };
   if (entry.options.hold_gate_during_check) {
     {
       sync::CheckerGate::ExclusiveScope quiesce(entry.monitor->gate());
-      segment = entry.monitor->drain_segment();
-      state = entry.monitor->snapshot();
-      suppressed = entry.monitor->recovery_poisoned();
+      collect();
       evaluate();
     }
     gate_released = wall_now();  // paper mode: suspended through the check
   } else {
     {
       sync::CheckerGate::ExclusiveScope quiesce(entry.monitor->gate());
-      segment = entry.monitor->drain_segment();
-      state = entry.monitor->snapshot();
-      suppressed = entry.monitor->recovery_poisoned();
+      collect();
     }
     gate_released = wall_now();
     evaluate();
@@ -741,7 +748,7 @@ void CheckerPool::rebaseline_entry(Entry& entry) {
   // the post-action state.  The caller holds entry.check_mu, so no worker
   // check interleaves between the action and the new baseline.
   sync::CheckerGate::ExclusiveScope quiesce(entry.monitor->gate());
-  entry.monitor->drain_segment();
+  entry.monitor->discard_segment();
   if (entry.detector != nullptr) {
     entry.detector->rebaseline(entry.monitor->snapshot());
   }

@@ -23,11 +23,17 @@
 // Contract:
 //   * spec()/symbols()/gate() must be stable for the registration lifetime
 //     (the pool holds references across checks).
-//   * drain_segment() and snapshot() are called with the gate held
-//     exclusively (hold_gate_during_check) or back-to-back under it; a
-//     snapshot must reflect every event already drained — the wait-for
+//   * drain_segment() (or discard_segment()) and snapshot() are called
+//     with the gate held exclusively (hold_gate_during_check) or
+//     back-to-back under it; a snapshot must reflect every event already
+//     drained or discarded — the wait-for
 //     validation passes re-snapshot and require episode tickets to be
 //     stable for an uninterrupted wait/hold (see core/waitfor.hpp).
+//   * discard_segment() ends the segment exactly like drain_segment() but
+//     returns only its event count.  The pool calls it wherever nothing
+//     replays the records (detector-less registrations, recovery-poisoned
+//     windows, re-baselines), so a sink that needs no records for anything
+//     else may skip building them; the default drains and counts.
 //   * Episode tickets: entry_queue / cond_queues / holders / running_ticket
 //     entries carry per-monitor monotonic tickets, bumped once per blocking
 //     episode / ownership / hold — clock-independent episode identity.
@@ -35,6 +41,7 @@
 //     cannot evict waiters degrade to reports; see docs/interposition.md).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -65,6 +72,10 @@ class EventSink {
   /// Remove and return every event recorded since the previous checking
   /// point, in the order the detection algorithms may replay them.
   virtual std::vector<trace::EventRecord> drain_segment() = 0;
+
+  /// End the segment like drain_segment() and return only how many events
+  /// it held: the consumer path when nothing will replay the records.
+  virtual std::size_t discard_segment() { return drain_segment().size(); }
 
   /// Events dropped by the ingestion path's overflow contract — exact
   /// accounting, never a silent gap (EventLog::events_lost()).

@@ -9,9 +9,12 @@
 #include <chrono>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "core/detector.hpp"
 #include "runtime/checker_pool.hpp"
+#include "runtime/event_sink.hpp"
 #include "runtime/hoare_monitor.hpp"
 #include "util/clock.hpp"
 #include "runtime/robust_monitor.hpp"
@@ -77,6 +80,78 @@ TEST(CheckerPoolTest, CheckNowOnRemovedOrUnknownIdReturnsEmpty) {
       pool.check_now(static_cast<CheckerPool::MonitorId>(~0ull));
   EXPECT_EQ(unknown.events, 0u);
   EXPECT_EQ(unknown.violations, 0u);
+}
+
+/// EventSink that counts how the pool consumes its segments.  Each segment
+/// holds `pending` events; drain_segment() returns them as records,
+/// discard_segment() only their count.
+class CountingSink final : public EventSink {
+ public:
+  CountingSink() : spec_(MonitorSpec::manager("counting")) {
+    spec_.check_period = 10 * kMillisecond;
+  }
+
+  const MonitorSpec& spec() const override { return spec_; }
+  const trace::SymbolTable& symbols() const override { return symbols_; }
+  sync::CheckerGate& gate() override { return gate_; }
+  std::vector<trace::EventRecord> drain_segment() override {
+    ++drains;
+    return std::vector<trace::EventRecord>(std::exchange(pending, 0));
+  }
+  std::size_t discard_segment() override {
+    ++discards;
+    return std::exchange(pending, 0);
+  }
+  std::uint64_t events_lost() const override { return 0; }
+  trace::SchedulingState snapshot() const override { return {}; }
+
+  trace::SymbolTable& mutable_symbols() { return symbols_; }
+
+  std::size_t pending = 0;
+  int drains = 0;
+  int discards = 0;
+
+ private:
+  MonitorSpec spec_;
+  trace::SymbolTable symbols_;
+  sync::CheckerGate gate_;
+};
+
+TEST(CheckerPoolTest, DetectorLessChecksDiscardByCount) {
+  CheckerPool pool;
+  CountingSink source;
+  CheckerPool::MonitorOptions options;
+  options.max_stretch = 8.0;
+  const CheckerPool::MonitorId id = pool.add(source, options);
+
+  // Idle checks stretch the cadence.
+  EXPECT_TRUE(pool.check_now(id).idle);
+  EXPECT_TRUE(pool.check_now(id).idle);
+  EXPECT_GT(pool.stretch(id), 1.0);
+
+  // A non-empty segment is counted without being drained, and the activity
+  // snaps the cadence back to base.
+  source.pending = 5;
+  const auto stats = pool.check_now(id);
+  EXPECT_EQ(stats.events, 5u);
+  EXPECT_FALSE(stats.idle);
+  EXPECT_EQ(pool.stretch(id), 1.0);
+  EXPECT_EQ(source.discards, 3);
+  EXPECT_EQ(source.drains, 0);
+}
+
+TEST(CheckerPoolTest, DetectorBackedChecksDrainTheSegment) {
+  CheckerPool pool;
+  CountingSink source;
+  CollectingSink sink;
+  core::Detector detector(source.spec(), source.mutable_symbols(), sink);
+  detector.initialize(source.snapshot());
+  const CheckerPool::MonitorId id = pool.add(source, detector);
+
+  pool.check_now(id);
+  EXPECT_EQ(source.drains, 1);
+  EXPECT_EQ(source.discards, 0);
+  EXPECT_EQ(detector.checks_run(), 1u);
 }
 
 TEST(CheckerPoolTest, DeadlineOrderingFollowsPerMonitorPeriods) {

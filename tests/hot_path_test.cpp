@@ -1,6 +1,9 @@
 // Cost contracts of the instrumented primitive path (docs/architecture.md,
 // "Primitive hot path"): steady-state Enter / Wait / Signal-Exit traffic
-// allocates nothing, and each primitive reads the clock exactly once.
+// allocates nothing, and each primitive reads the clock exactly once.  The
+// shim adapter's contracts ride along ("Shim hot path"): a SyntheticMonitor
+// op reads the clock only when its state carries a time (every op when
+// retaining records), and push/discard cycles allocate nothing.
 //
 // This binary replaces the global allocation functions with counting ones,
 // which is why these tests live in their own executable.
@@ -15,6 +18,7 @@
 
 #include "core/fault.hpp"
 #include "core/monitor_spec.hpp"
+#include "interpose/synthetic_monitor.hpp"
 #include "runtime/hoare_monitor.hpp"
 #include "runtime/robust_monitor.hpp"
 #include "util/clock.hpp"
@@ -169,6 +173,87 @@ TEST(HotPathTest, EachPrimitiveReadsTheClockOnce) {
     EXPECT_EQ(events[i].time, expected[i])
         << trace::describe(events[i], monitor.symbols());
   }
+}
+
+interpose::SyntheticMonitor::Config synthetic_config(bool retain_history) {
+  interpose::SyntheticMonitor::Config config;
+  config.retain_history = retain_history;
+  return config;
+}
+
+TEST(HotPathTest, ShimOpsReadTheClockOnlyWhereStateNeedsATime) {
+  using interpose::SyntheticMonitor;
+  CountingClock clock;
+  SyntheticMonitor m("m", SyntheticMonitor::Kind::kMutex, clock,
+                     synthetic_config(/*retain_history=*/false));
+  const auto reads_of = [&](auto&& ops) {
+    const std::uint64_t before = clock.reads();
+    ops();
+    return clock.reads() - before;
+  };
+  EXPECT_EQ(reads_of([&] {
+              m.lock_acquired(1);
+              m.unlocked(1);
+            }),
+            1u)
+      << "fast-path lock/unlock pair";
+  EXPECT_EQ(reads_of([&] {
+              m.lock_blocked(2);
+              m.lock_acquired(2);
+            }),
+            2u)
+      << "blocked lock";
+  EXPECT_EQ(reads_of([&] {
+              m.unlocked(2);
+              m.lock_blocked(3);
+              m.lock_cancelled(3);
+              m.cond_signalled(1, /*broadcast=*/false);
+              m.cond_unparked(1);
+              m.reset();
+            }),
+            1u)
+      << "only the block reads the clock";
+  EXPECT_EQ(reads_of([&] { m.cond_signalled(1, /*broadcast=*/true); }), 0u);
+  EXPECT_EQ(m.discard_segment(), 7u);
+
+  SyntheticMonitor retained("r", SyntheticMonitor::Kind::kMutex, clock,
+                            synthetic_config(/*retain_history=*/true));
+  EXPECT_EQ(reads_of([&] {
+              retained.lock_blocked(1);
+              retained.lock_acquired(1);
+              retained.unlocked(1);
+              retained.lock_blocked(2);
+              retained.lock_cancelled(2);
+              retained.cond_parked(1);
+              retained.cond_unparked(1);
+              retained.cond_signalled(1, /*broadcast=*/false);
+              retained.reset();
+            }),
+            9u)
+      << "retaining: one read per op";
+}
+
+TEST(HotPathTest, ShimPushDiscardCyclesAllocateNothing) {
+  using interpose::SyntheticMonitor;
+  SyntheticMonitor m("m", SyntheticMonitor::Kind::kMutex,
+                     util::SteadyClock::instance(),
+                     synthetic_config(/*retain_history=*/false));
+  const auto cycle = [&] {
+    m.lock_blocked(2);
+    m.lock_acquired(1);
+    m.unlocked(1);
+    m.lock_acquired(2);
+    m.unlocked(2);
+    return m.discard_segment();
+  };
+  ASSERT_EQ(cycle(), 4u);  // Warm-up sizes the entry queue once.
+
+  const std::uint64_t before = g_allocations.load();
+  std::size_t events = 0;
+  for (int i = 0; i < 10'000; ++i) events += cycle();
+  EXPECT_EQ(g_allocations.load() - before, 0u);
+  EXPECT_EQ(events, 4u * 10'000);
+  EXPECT_EQ(m.events_lost(), 0u);
 }
 
 }  // namespace

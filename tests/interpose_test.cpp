@@ -187,8 +187,45 @@ TEST(SyntheticMonitorTest, BackpressureAppliesInlineWithoutLoss) {
   EXPECT_EQ(m.events_lost(), 0u);
   const trace::SchedulingState state = m.snapshot();
   EXPECT_FALSE(state.has_running());
-  // Every acquire/release pair was recorded despite the tiny ring.
-  EXPECT_EQ(m.drain_segment().size(), 128u);
+  // Every acquire/release pair was counted despite the tiny ring.
+  EXPECT_EQ(m.discard_segment(), 128u);
+  EXPECT_EQ(m.discard_segment(), 0u);
+}
+
+TEST(SyntheticMonitorTest, RetainedHistoryHasDenseOrderedTimedRecords) {
+  util::ManualClock clock;
+  SyntheticMonitor::Config config = small_config(/*ring_capacity=*/2);
+  config.retain_history = true;
+  SyntheticMonitor m("m", SyntheticMonitor::Kind::kMutex, clock, config);
+  const auto burst = [&](util::TimeNs base) {
+    for (int i = 0; i < 64; ++i) {
+      clock.set(base + 2 * i);
+      m.lock_acquired(1);
+      clock.set(base + 2 * i + 1);
+      m.unlocked(1);
+    }
+  };
+  burst(1000);
+  const std::vector<trace::EventRecord> first = m.drain_segment();
+  ASSERT_EQ(first.size(), 128u);
+  for (std::size_t i = 1; i < first.size(); ++i) {
+    EXPECT_LT(first[i - 1].seq, first[i].seq);
+  }
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    // Unlock records (odd positions) carry the clock's time like acquires.
+    EXPECT_EQ(first[i].time, 1000 + static_cast<util::TimeNs>(i));
+    EXPECT_EQ(first[i].kind, i % 2 == 0 ? trace::EventKind::kEnter
+                                        : trace::EventKind::kSignalExit);
+  }
+  burst(5000);
+  const std::vector<trace::EventRecord> second = m.drain_segment();
+  ASSERT_EQ(second.size(), 128u);
+  EXPECT_LT(first.back().seq, second.front().seq);
+
+  std::vector<trace::EventRecord> both = first;
+  both.insert(both.end(), second.begin(), second.end());
+  EXPECT_EQ(m.history(), both);
+  EXPECT_EQ(m.events_lost(), 0u);
 }
 
 // --- Equivalence: native monitor vs. shim-adapted observation. ---------------
