@@ -1,17 +1,15 @@
 // Checking-engine overhead bench — the machine-readable perf baseline for
-// the batched, adaptive-cadence CheckerPool and the block-allocating
+// the batched, adaptive-cadence CheckerPool and the single-writer
 // EventLog.  Two sections:
 //
-//   appender  EventLog::append throughput, T concurrent appender threads,
-//             rings sized to the row so throughput rows finish with
-//             events_lost == 0 (the retired spinlocked baseline's last
-//             ratios are in docs/architecture.md), plus one
-//             deliberately undersized single-ring row that exercises the
-//             overflow/loss contract (spill, then exact drop accounting).
-//             Rows where threads > hardware_concurrency are flagged
-//             `contended`: the committed baseline may come from a smaller
-//             machine, so CI skips throughput comparisons on such rows
-//             (but still gates losses and detections).
+//   appender  EventLog::append throughput of its single writer (the
+//             HoareMonitor discipline: appends serialized by the caller),
+//             with a segment bound that holds the whole row so it finishes
+//             with events_lost == 0, plus one deliberately undersized row
+//             with a stalled drain that exercises the overflow/loss
+//             contract (exact drop accounting past the segment bound).
+//             The retired multi-writer rows' last figures are in
+//             docs/architecture.md.
 //   pool      wl::run_multi_load at M ∈ --monitors for three engine
 //             shapes — batched (default), batched+adaptive (--max-stretch)
 //             and batched with lock-order prediction on — with injected
@@ -57,70 +55,45 @@ using namespace robmon;
 namespace {
 
 struct AppenderRow {
-  std::size_t threads = 0;
-  std::size_t shards = 0;
+  std::size_t threads = 1;
+  std::size_t shards = 1;
   std::uint64_t events = 0;  ///< append() calls issued.
   double events_per_sec = 0.0;
   std::uint64_t events_lost = 0;
-  bool contended = false;    ///< threads > hardware_concurrency.
   bool expect_loss = false;  ///< Deliberately undersized overflow row.
   bool accounting_ok = true; ///< accepted + lost == issued, drain == accepted.
 };
 
-std::size_t round_up_pow2(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
-/// One appender row.  ring_capacity == 0 sizes the ring to hold the whole
-/// row (throughput measurement, zero losses expected); a nonzero capacity
-/// deliberately undersizes it to exercise the spill/loss contract.
-AppenderRow bench_appenders(std::size_t threads, std::size_t shards,
-                            std::uint64_t events_per_thread,
-                            std::size_t ring_capacity,
-                            std::size_t overflow_capacity, unsigned hardware) {
-  trace::EventLog::Options options;
-  options.shards = shards;
-  const std::uint64_t per_shard =
-      events_per_thread * ((threads + shards - 1) / shards);
-  options.ring_capacity = ring_capacity != 0
-                              ? ring_capacity
-                              : round_up_pow2(static_cast<std::size_t>(
-                                    per_shard + per_shard / 4 + 1));
-  options.overflow_capacity = overflow_capacity;
-  trace::EventLog log(options);
-
-  std::vector<std::thread> workers;
+/// One appender row: `events` appends into one segment bounded at
+/// `segment_capacity`, drained once at the end (a stalled drain).  An
+/// untimed fill and drain first sizes the segment, as a monitor's previous
+/// check does in steady state.
+AppenderRow bench_appender(std::uint64_t events, std::size_t segment_capacity) {
+  trace::EventLog log(
+      trace::EventLog::Options{.segment_capacity = segment_capacity});
+  const trace::EventRecord event = trace::EventRecord::enter(1, 0, true, 0);
+  for (std::uint64_t i = 0; i < events; ++i) log.append(event);
+  const std::uint64_t warm_appended = log.total_appended();
+  const std::uint64_t warm_lost = log.events_lost();
+  log.drain();
   const auto started = std::chrono::steady_clock::now();
-  for (std::size_t t = 0; t < threads; ++t) {
-    workers.emplace_back([&log, t, events_per_thread] {
-      const trace::EventRecord event = trace::EventRecord::enter(
-          static_cast<trace::Pid>(t), 0, true, 0);
-      for (std::uint64_t i = 0; i < events_per_thread; ++i) {
-        log.append(event);
-      }
-    });
-  }
-  for (auto& worker : workers) worker.join();
+  for (std::uint64_t i = 0; i < events; ++i) log.append(event);
   const auto finished = std::chrono::steady_clock::now();
 
   AppenderRow row;
-  row.threads = threads;
-  row.shards = shards;
-  row.events = static_cast<std::uint64_t>(threads) * events_per_thread;
+  row.events = events;
   const double seconds =
       std::chrono::duration<double>(finished - started).count();
   row.events_per_sec =
       seconds > 0 ? static_cast<double>(row.events) / seconds : 0.0;
-  row.events_lost = log.events_lost();
-  row.contended = hardware != 0 && threads > hardware;
-  row.expect_loss = ring_capacity != 0;
+  row.events_lost = log.events_lost() - warm_lost;
+  row.expect_loss = segment_capacity < events;
   // The loss contract is exact: every issued append was either accepted
   // (and drains exactly once) or counted lost — no silent drops, no dupes.
+  const std::uint64_t accepted = log.total_appended() - warm_appended;
   const std::uint64_t drained = log.drain().size();
-  row.accounting_ok = log.total_appended() + row.events_lost == row.events &&
-                      drained == log.total_appended() && log.pending() == 0;
+  row.accounting_ok = accepted + row.events_lost == row.events &&
+                      drained == accepted && log.pending() == 0;
   return row;
 }
 
@@ -147,9 +120,7 @@ int main(int argc, char** argv) {
                "adaptive-cadence ceiling for the adaptive engine shape");
   flags.define("predict-period-ms", "4",
                "lock-order prediction checkpoint cadence (predict shape)");
-  flags.define("appender-threads", "1,8",
-               "comma-separated appender thread counts");
-  flags.define("appender-events", "200000", "events per appender thread");
+  flags.define("appender-events", "200000", "append() calls per row");
   flags.define("budget-fraction", "0.0035",
                "global detection budget for the spike scenario "
                "(fraction of wall-clock; calibrated defaults in "
@@ -163,12 +134,9 @@ int main(int argc, char** argv) {
 
   const std::optional<std::vector<std::size_t>> monitor_sweep =
       flags.positive_list("monitors");
-  const std::optional<std::vector<std::size_t>> appender_sweep =
-      flags.positive_list("appender-threads");
-  if (!monitor_sweep || !appender_sweep) {
+  if (!monitor_sweep) {
     std::fprintf(stderr,
-                 "--monitors/--appender-threads must be comma-separated "
-                 "positive integers\n");
+                 "--monitors must be comma-separated positive integers\n");
     return 1;
   }
 
@@ -180,40 +148,28 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>(flags.i64("appender-events"));
   std::vector<AppenderRow> appender_rows;
   bool appender_failed = false;
-  std::printf("\n%10s %7s %14s %14s %12s %10s\n", "appenders", "shards",
-              "events", "events/s", "events-lost", "flags");
-  const auto run_appender_row = [&](std::size_t threads, std::size_t shards,
-                                    std::size_t ring_capacity,
-                                    std::size_t overflow_capacity) {
-    AppenderRow row = bench_appenders(threads, shards, appender_events,
-                                      ring_capacity, overflow_capacity,
-                                      hardware);
-    std::printf("%10zu %7zu %14llu %14.0f %12llu %10s%s\n", row.threads,
-                row.shards,
+  std::printf("\n%14s %14s %12s %10s\n", "events", "events/s",
+              "events-lost", "flags");
+  const auto run_appender_row = [&](std::size_t segment_capacity) {
+    AppenderRow row = bench_appender(appender_events, segment_capacity);
+    std::printf("%14llu %14.0f %12llu %10s%s\n",
                 static_cast<unsigned long long>(row.events),
                 row.events_per_sec,
                 static_cast<unsigned long long>(row.events_lost),
-                row.expect_loss ? "overflow" : (row.contended ? "contended"
-                                                              : "-"),
+                row.expect_loss ? "overflow" : "-",
                 row.accounting_ok ? "" : "  ^ FAILED: loss accounting");
-    if (!row.accounting_ok ||
-        (!row.expect_loss && row.events_lost > 0)) {
+    if (!row.accounting_ok || (!row.expect_loss && row.events_lost > 0)) {
       appender_failed = true;
     }
     appender_rows.push_back(std::move(row));
   };
-  for (const std::size_t threads : *appender_sweep) {
-    const std::size_t shards =
-        std::min(threads, trace::EventLog::kDefaultShards);
-    run_appender_row(threads, shards, 0, 0);
-  }
-  // The overflow/loss-contract stress row: every appender contends on one
-  // deliberately undersized ring with a stalled drain, so the run must
-  // spill to the bounded overflow list and then drop *with accounting*.
-  const std::size_t stress_threads =
-      *std::max_element(appender_sweep->begin(), appender_sweep->end());
-  run_appender_row(stress_threads, /*shards=*/1, /*ring_capacity=*/1 << 12,
-                   /*overflow_capacity=*/1 << 15);
+  run_appender_row(std::max<std::size_t>(
+      trace::EventLog::kDefaultSegmentCapacity,
+      static_cast<std::size_t>(appender_events)));
+  // The overflow/loss-contract row: a segment bound far below the row, so
+  // the run must drop *with accounting* past it.
+  run_appender_row(std::min<std::size_t>(
+      std::size_t{1} << 12, static_cast<std::size_t>(appender_events / 2)));
 
   // --- Pool sweep: batched vs batched+adaptive vs batched with the
   // lock-order prediction checkpoint on (the "predict" column isolates the
@@ -426,13 +382,11 @@ int main(int argc, char** argv) {
     std::fprintf(out,
                  "    {\"threads\": %zu, \"shards\": %zu, "
                  "\"events\": %llu, \"events_per_sec\": %.0f, "
-                 "\"events_lost\": %llu, \"contended\": %s, "
-                 "\"expect_loss\": %s}%s\n",
+                 "\"events_lost\": %llu, \"expect_loss\": %s}%s\n",
                  row.threads, row.shards,
                  static_cast<unsigned long long>(row.events),
                  row.events_per_sec,
                  static_cast<unsigned long long>(row.events_lost),
-                 row.contended ? "true" : "false",
                  row.expect_loss ? "true" : "false",
                  i + 1 < appender_rows.size() ? "," : "");
   }

@@ -47,7 +47,7 @@ void BM_MonitorOp_Instrumented(benchmark::State& state) {
   for (auto _ : state) {
     monitor.enter(1, op);
     monitor.exit(1);
-    if (monitor.log().pending() > 65536) monitor.log().drain();
+    if (monitor.log().pending() > 65536) monitor.drain_segment();
   }
   state.SetItemsProcessed(state.iterations() * 2);
 }

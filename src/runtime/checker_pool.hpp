@@ -347,10 +347,10 @@ class CheckerPool {
   std::uint64_t total_check_ns() const {
     return total_check_ns_.load(std::memory_order_relaxed);
   }
-  /// Events dropped by the registered monitors' EventLogs under the
-  /// ring-overflow contract (sum of EventLog::events_lost() over every
-  /// currently registered monitor).  A healthy pool keeps this at 0: the
-  /// periodic drain empties each ring well inside its capacity.  Non-zero
+  /// Events dropped by the registered sinks under their overflow contracts
+  /// (sum of EventSink::events_lost() over every currently registered
+  /// monitor).  A healthy pool keeps this at 0: the periodic drain ends
+  /// each segment well inside its bound.  Non-zero
   /// means ingestion outran checking and the loss accounting — not silent
   /// gaps — absorbed the difference.
   std::uint64_t events_lost() const;

@@ -58,6 +58,21 @@ void HoareMonitor::record(const trace::EventRecord& event) {
   if (instrumentation_ == Instrumentation::kFull) log_.append(event);
 }
 
+std::vector<trace::EventRecord> HoareMonitor::drain_segment() {
+  std::lock_guard<sync::SpinLock> lock(mu_);
+  return log_.drain();
+}
+
+std::size_t HoareMonitor::discard_segment() {
+  std::lock_guard<sync::SpinLock> lock(mu_);
+  return log_.discard();
+}
+
+std::vector<trace::EventRecord> HoareMonitor::history() const {
+  std::lock_guard<sync::SpinLock> lock(mu_);
+  return log_.history();
+}
+
 void HoareMonitor::set_resource_gauge(std::function<std::int64_t()> gauge) {
   std::lock_guard<sync::SpinLock> lock(mu_);
   resource_gauge_ = std::move(gauge);

@@ -16,7 +16,10 @@
 // one spinlock pair, one clock read (taken under the spinlock and reused for
 // the event time, ownership and queue timestamps) and one EventLog append,
 // and allocates nothing in steady state — the per-pid tables are small flat
-// vectors that keep their capacity.
+// vectors that keep their capacity.  The spinlock (mu_) is also the event
+// log's only synchronization: the append is a plain push onto the current
+// segment, and drain_segment() / discard_segment() / history() take mu_
+// just long enough to swap, clear or copy it (trace/event_log.hpp).
 #pragma once
 
 #include <cstdint>
@@ -125,12 +128,17 @@ class HoareMonitor : public EventSink {
   const trace::SymbolTable& symbols() const override { return symbols_; }
   const core::MonitorSpec& spec() const override { return spec_; }
   sync::CheckerGate& gate() override { return gate_; }
-  /// EventSink ingestion surface: the monitor's single-shard log keeps the
-  /// total append order Algorithm-1's segment replay depends on.
-  std::vector<trace::EventRecord> drain_segment() override {
-    return log_.drain();
-  }
+  /// EventSink ingestion surface.  Each takes mu_ (the log's serializing
+  /// lock) for the swap or clear only; the segment comes back in append
+  /// order, the order Algorithm-1's segment replay depends on.
+  std::vector<trace::EventRecord> drain_segment() override;
+  /// Clears the segment in place (archived when retaining), so a discarded
+  /// window neither allocates nor frees.
+  std::size_t discard_segment() override;
   std::uint64_t events_lost() const override { return log_.events_lost(); }
+  /// The log's retained history (archive plus pending segment), read under
+  /// mu_; empty unless retention is on.
+  std::vector<trace::EventRecord> history() const;
   Instrumentation instrumentation() const { return instrumentation_; }
   Semantics semantics() const { return semantics_; }
 
@@ -265,10 +273,9 @@ class HoareMonitor : public EventSink {
   Semantics semantics_;
 
   trace::SymbolTable symbols_;
-  /// Single shard: every append happens under mu_, so sharding buys nothing
-  /// here, and one shard preserves the total append order that Algorithm-1's
-  /// segment replay depends on (see EventLog's ordering contract).
-  trace::EventLog log_{/*retain_history=*/false, /*shards=*/1};
+  /// Single-writer log: every append, drain, discard and history read
+  /// happens under mu_ (EventLog's serialization contract).
+  trace::EventLog log_;
   sync::CheckerGate gate_;
 
   mutable sync::SpinLock mu_;

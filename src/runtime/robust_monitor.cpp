@@ -183,7 +183,7 @@ trace::TraceFile RobustMonitor::export_trace() const {
   std::lock_guard<std::mutex> lock(checkpoints_mu_);
   return trace::make_trace_file(
       spec().name, std::string(core::to_string(spec().type)), spec().rmax,
-      monitor_.symbols(), monitor_.log().history(), checkpoints_,
+      monitor_.symbols(), monitor_.history(), checkpoints_,
       monitor_.log().events_lost());
 }
 

@@ -1,4 +1,8 @@
-// Lock-free bounded MPSC ring buffer (cxxtrace-style slot claiming).
+// Lock-free bounded MPSC ring buffer (cxxtrace-style slot claiming).  Its
+// user is the interposition adapter (interpose::SyntheticMonitor's op ring),
+// whose producers are application threads that share no lock with each
+// other.  Native monitors do not need it: rt::HoareMonitor appends to a
+// single-writer trace::EventLog under its own lock.
 //
 // Many producers claim slots with one compare_exchange on the claim cursor;
 // each claimed slot is filled and then *published* with a release store on
@@ -11,10 +15,10 @@
 // Concurrency contract:
 //   * try_push may be called from any number of threads concurrently —
 //     lock-free (a failed claim CAS means another producer made progress).
-//   * consume / peek / consumed_count form the consumer side: at most one
-//     thread at a time, externally serialized (EventLog holds drain_mu_).
-//     Different threads may act as the consumer at different times as long
-//     as the serialization orders them (a mutex does).
+//   * consume is the consumer side: at most one
+//     thread at a time, externally serialized (SyntheticMonitor holds
+//     apply_mu_).  Different threads may act as the consumer at different
+//     times as long as the serialization orders them (a mutex does).
 //   * A full ring rejects the push (returns false) instead of overwriting
 //     or spinning; the caller owns the overflow/loss policy.
 //
@@ -92,31 +96,7 @@ class MpscRing {
     return consumed;
   }
 
-  /// Consumer side: invoke `fn(value)` on every currently published slot
-  /// without consuming it (snapshot support).  Published-but-unconsumed
-  /// slots cannot be reused by producers, so the values are stable.
-  template <typename Fn>
-  std::size_t peek(Fn&& fn) const {
-    std::uint64_t pos = tail_.load(std::memory_order_relaxed);
-    std::size_t seen = 0;
-    for (;;) {
-      const Slot& slot = slots_[static_cast<std::size_t>(pos) & mask_];
-      if (slot.turn.load(std::memory_order_acquire) != pos + 1) break;
-      fn(slot.value);
-      ++pos;
-      ++seen;
-    }
-    return seen;
-  }
-
   std::size_t capacity() const { return capacity_; }
-
-  /// Slots ever claimed, i.e. successful try_push calls: the claim cursor
-  /// only advances on a claim that the push then completes.  Readable from
-  /// any thread; exact once producers are quiesced.
-  std::uint64_t claimed() const {
-    return head_.load(std::memory_order_relaxed);
-  }
 
   /// Claimed-minus-consumed estimate; exact when producers are quiesced.
   std::size_t size_estimate() const {

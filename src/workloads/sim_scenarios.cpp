@@ -382,7 +382,7 @@ FdTrialResult run_fd_trial(std::optional<FaultKind> kind, std::uint64_t seed,
   FdTrialResult result;
   result.injected = kind ? scripted.fired() : false;
   result.st_reports = trial.sink().reports();
-  const auto events = trial.monitor().log().history();
+  const auto events = trial.monitor().history();
   result.event_count = events.size();
   result.fd_reports = core::validate_fd_rules(
       trial.spec(), trial.monitor().symbols(), events,

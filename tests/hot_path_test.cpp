@@ -1,6 +1,7 @@
 // Cost contracts of the instrumented primitive path (docs/architecture.md,
 // "Primitive hot path"): steady-state Enter / Wait / Signal-Exit traffic
-// allocates nothing, and each primitive reads the clock exactly once.  The
+// and append/discard cycles allocate nothing, and each primitive reads the
+// clock exactly once.  The
 // shim adapter's contracts ride along ("Shim hot path"): a SyntheticMonitor
 // op reads the clock only when its state carries a time (every op when
 // retaining records), and push/discard cycles allocate nothing.
@@ -81,8 +82,8 @@ void wait_for_pending(const HoareMonitor& monitor, std::size_t events) {
 
 TEST(HotPathTest, SteadyStateTrafficAllocatesNothing) {
   CollectingSink sink;
-  // No checker is started: the logs only fill, so the warm-up also sizes
-  // each log's overflow list, which a drain empties but keeps.
+  // No checker is started: the logs only fill, so the warm-up sizes each
+  // log's segment, and the drain reserves the next one to the drained size.
   RobustMonitor allocator(MonitorSpec::allocator("alloc"), sink);
   RobustMonitor buffer(MonitorSpec::coordinator("buf", 8), sink);
   const std::string acquire = "Acquire", release = "Release",
@@ -173,6 +174,28 @@ TEST(HotPathTest, EachPrimitiveReadsTheClockOnce) {
     EXPECT_EQ(events[i].time, expected[i])
         << trace::describe(events[i], monitor.symbols());
   }
+}
+
+TEST(HotPathTest, AppendDiscardCyclesAllocateNothing) {
+  // Recovery-poisoned windows and re-baselines end a native monitor's
+  // segment through discard_segment(), which clears it in place.
+  HoareMonitor monitor(MonitorSpec::manager("discard"),
+                       util::SteadyClock::instance());
+  const trace::SymbolId op = monitor.symbols().intern("Op");
+  const auto cycle = [&] {
+    monitor.enter(1, op);
+    monitor.exit(1);
+    return monitor.discard_segment();
+  };
+  ASSERT_EQ(cycle(), 2u);  // Warm-up sizes the segment once.
+
+  const std::uint64_t before = g_allocations.load();
+  std::size_t events = 0;
+  for (int i = 0; i < 1'000; ++i) events += cycle();
+  EXPECT_EQ(g_allocations.load() - before, 0u);
+  EXPECT_EQ(events, 2u * 1'000);
+  EXPECT_EQ(monitor.log().pending(), 0u);
+  EXPECT_EQ(monitor.events_lost(), 0u);
 }
 
 interpose::SyntheticMonitor::Config synthetic_config(bool retain_history) {

@@ -100,6 +100,62 @@ TEST(HoareMonitorTest, SnapshotSeesBlockedWaiters) {
   EXPECT_EQ(sink.count(), 0u);
 }
 
+/// Clock whose every read returns the next tick: HoareMonitor reads it once
+/// per primitive under its lock, so event times follow append order.
+class TickClock final : public util::Clock {
+ public:
+  util::TimeNs now_ns() const override {
+    return next_.fetch_add(1, std::memory_order_relaxed);
+  }
+
+ private:
+  mutable std::atomic<util::TimeNs> next_{0};
+};
+
+TEST(HoareMonitorTest, UngatedDrainsReturnEveryEventOnceInAppendOrder) {
+  // drain_segment() takes the monitor's own lock, so it may run alongside
+  // primitives without the checker gate: the concatenated segments hold
+  // every event exactly once, in append order.
+  TickClock clock;
+  HoareMonitor monitor(MonitorSpec::manager("drain"), clock);
+  constexpr int kThreads = 4;
+  constexpr int kOps = 500;
+  std::atomic<bool> done{false};
+  std::vector<trace::EventRecord> drained;
+  std::thread drainer([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      const auto segment = monitor.drain_segment();
+      drained.insert(drained.end(), segment.begin(), segment.end());
+      std::this_thread::yield();
+    }
+  });
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kThreads; ++t) {
+    clients.emplace_back([&, t] {
+      for (int i = 0; i < kOps; ++i) {
+        ASSERT_EQ(monitor.enter(t, "Op"), Status::kOk);
+        monitor.exit(t);
+      }
+    });
+  }
+  for (auto& client : clients) client.join();
+  done.store(true, std::memory_order_release);
+  drainer.join();
+  const auto rest = monitor.drain_segment();
+  drained.insert(drained.end(), rest.begin(), rest.end());
+
+  constexpr std::size_t kEvents = 2 * kThreads * kOps;  // Enter + Exit
+  ASSERT_EQ(drained.size(), kEvents);
+  EXPECT_EQ(monitor.log().total_appended(), kEvents);
+  EXPECT_EQ(monitor.events_lost(), 0u);
+  for (std::size_t i = 0; i < drained.size(); ++i) {
+    ASSERT_EQ(drained[i].seq, i) << "event lost, duplicated or reordered";
+    if (i > 0) {
+      ASSERT_GT(drained[i].time, drained[i - 1].time);
+    }
+  }
+}
+
 TEST(BoundedBufferTest, FaultFreeSoakWithPeriodicChecking) {
   CollectingSink sink;
   MonitorSpec spec = relaxed_timers(MonitorSpec::coordinator("buf", 4));

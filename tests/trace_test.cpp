@@ -1,9 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <mutex>
-#include <new>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -73,13 +73,24 @@ TEST(EventTest, DescribeHumanReadable) {
             "Signal-Exit(p3, Send, full, 0)");
 }
 
-TEST(EventLogTest, AppendAssignsSequence) {
+TEST(EventLogTest, AppendAssignsDenseSequence) {
   EventLog log;
-  EXPECT_EQ(log.append(EventRecord::enter(1, 0, true, 10)), 0u);
-  EXPECT_EQ(log.append(EventRecord::enter(2, 0, false, 20)), 1u);
-  EXPECT_EQ(log.seq_block(), EventLog::kDefaultSeqBlock);
+  EXPECT_TRUE(log.append(EventRecord::enter(1, 0, true, 10)));
+  EXPECT_TRUE(log.append(EventRecord::enter(2, 0, false, 20)));
   EXPECT_EQ(log.pending(), 2u);
   EXPECT_EQ(log.total_appended(), 2u);
+  const auto segment = log.drain();
+  ASSERT_EQ(segment.size(), 2u);
+  EXPECT_EQ(segment[0].seq, 0u);
+  EXPECT_EQ(segment[1].seq, 1u);
+}
+
+TEST(EventLogTest, ShardsOtherThanOneThrow) {
+  EXPECT_NO_THROW(EventLog(/*retain_history=*/false, /*shards=*/1));
+  EXPECT_THROW(EventLog(/*retain_history=*/false, /*shards=*/0),
+               std::invalid_argument);
+  EXPECT_THROW(EventLog(/*retain_history=*/true, /*shards=*/8),
+               std::invalid_argument);
 }
 
 TEST(EventLogTest, DrainEmptiesBuffer) {
@@ -95,25 +106,23 @@ TEST(EventLogTest, DrainEmptiesBuffer) {
   log.append(EventRecord::signal_exit(1, 0, 1, false, 30));
   const auto second = log.drain();
   ASSERT_EQ(second.size(), 1u);
-  // Drain boundaries are pinned in seq space: the drain retired the unused
-  // block remainder, so the next append sorts strictly after the first
-  // segment (seqs are unique and boundary-monotone, not dense).
-  EXPECT_GT(second[0].seq, first[1].seq);
+  // Seqs stay dense across drain boundaries.
+  EXPECT_EQ(second[0].seq, 2u);
   EXPECT_EQ(log.total_appended(), 3u);
 }
 
-TEST(EventLogTest, SeqBlockOneKeepsDenseSequences) {
-  // Block size 1 reproduces the per-event allocation: dense seqs across
-  // drain boundaries (the appender-throughput bench baseline).
-  EventLog log(/*retain_history=*/false, EventLog::kDefaultShards,
-               /*seq_block=*/1);
+TEST(EventLogTest, DiscardEndsTheSegmentByCount) {
+  EventLog log;
   log.append(EventRecord::enter(1, 0, true, 10));
   log.append(EventRecord::wait(1, 0, 1, 20));
-  log.drain();
+  EXPECT_EQ(log.discard(), 2u);
+  EXPECT_EQ(log.pending(), 0u);
+  EXPECT_EQ(log.discard(), 0u);
   log.append(EventRecord::signal_exit(1, 0, 1, false, 30));
-  const auto second = log.drain();
-  ASSERT_EQ(second.size(), 1u);
-  EXPECT_EQ(second[0].seq, 2u);
+  const auto segment = log.drain();
+  ASSERT_EQ(segment.size(), 1u);
+  EXPECT_EQ(segment[0].seq, 2u);
+  EXPECT_EQ(log.total_appended(), 3u);
 }
 
 TEST(EventLogTest, RetentionArchivesEverything) {
@@ -122,10 +131,13 @@ TEST(EventLogTest, RetentionArchivesEverything) {
   log.drain();
   log.append(EventRecord::wait(1, 0, 1, 20));
   log.drain();
+  log.append(EventRecord::signal_exit(1, 0, 1, false, 30));
+  EXPECT_EQ(log.discard(), 1u);  // discarded segments are archived too
   const auto history = log.history();
-  ASSERT_EQ(history.size(), 2u);
+  ASSERT_EQ(history.size(), 3u);
   EXPECT_EQ(history[0].kind, EventKind::kEnter);
   EXPECT_EQ(history[1].kind, EventKind::kWait);
+  EXPECT_EQ(history[2].kind, EventKind::kSignalExit);
 }
 
 TEST(EventLogTest, RetentionOffByDefault) {
@@ -142,104 +154,17 @@ TEST(EventLogTest, HistoryIncludesPendingWhenRetained) {
   log.append(EventRecord::signal_exit(1, 0, 1, false, 30));  // not drained
   const auto history = log.history();
   ASSERT_EQ(history.size(), 3u);
-  for (std::size_t i = 1; i < history.size(); ++i) {
-    EXPECT_GT(history[i].seq, history[i - 1].seq);  // seq order, not dense
+  for (std::size_t i = 0; i < history.size(); ++i) {
+    EXPECT_EQ(history[i].seq, i);  // dense, in append order
   }
   EXPECT_EQ(history.back().kind, EventKind::kSignalExit);
 }
 
-TEST(EventLogTest, ConcurrentAppendsDrainLosslessAndSeqOrdered) {
+TEST(EventLogTest, SerializedAppendsKeepTotalOrder) {
+  // The HoareMonitor discipline: appends from many threads, serialized by
+  // an external lock.  The drain must return the exact append order —
+  // Algorithm-1 replays the segment as an order-sensitive state machine.
   EventLog log;
-  constexpr int kThreads = 4;
-  constexpr std::uint64_t kPerThread = 2000;
-  std::vector<std::thread> threads;
-  std::vector<EventRecord> drained;
-  std::mutex drained_mu;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (std::uint64_t i = 0; i < kPerThread; ++i) {
-        log.append(EventRecord::enter(t, 0, true, static_cast<long>(i)));
-        if (i % 256 == 0) {
-          // Interleave drains with appends from other threads.
-          auto segment = log.drain();
-          std::lock_guard<std::mutex> lock(drained_mu);
-          drained.insert(drained.end(), segment.begin(), segment.end());
-        }
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  {
-    auto segment = log.drain();
-    drained.insert(drained.end(), segment.begin(), segment.end());
-  }
-  constexpr std::uint64_t kTotal = kThreads * kPerThread;
-  EXPECT_EQ(log.total_appended(), kTotal);
-  EXPECT_EQ(log.pending(), 0u);
-  ASSERT_EQ(drained.size(), kTotal);
-  // Every event exactly once; seqs unique with bounded gaps (each drain may
-  // retire up to one partial block per shard).
-  const std::uint64_t bound =
-      kTotal + (kTotal / 256 + 2) * log.shard_count() * log.seq_block();
-  std::vector<bool> seen(bound, false);
-  for (const auto& event : drained) {
-    ASSERT_LT(event.seq, bound);
-    EXPECT_FALSE(seen[event.seq]) << "duplicate seq " << event.seq;
-    seen[event.seq] = true;
-  }
-  // Per-thread monotonicity: sorted by seq, each thread's payloads (the
-  // loop index stored in `time`) appear in append order.
-  std::sort(drained.begin(), drained.end(),
-            [](const EventRecord& a, const EventRecord& b) {
-              return a.seq < b.seq;
-            });
-  std::vector<long> last_payload(kThreads, -1);
-  for (const auto& event : drained) {
-    ASSERT_GE(event.pid, 0);
-    ASSERT_LT(static_cast<std::size_t>(event.pid), last_payload.size());
-    EXPECT_GT(event.time, last_payload[event.pid])
-        << "thread " << event.pid << " reordered";
-    last_payload[event.pid] = event.time;
-  }
-}
-
-TEST(EventLogTest, QuiescedDrainIsSeqSortedAndBoundaryMonotone) {
-  // With appenders quiesced (the checker-gate discipline), each drain is a
-  // lossless, seq-sorted segment, and no later event sorts below it (the
-  // drain retires every shard's unused sequence-block remainder).
-  EventLog log;
-  std::uint64_t previous_max = 0;
-  bool have_previous = false;
-  for (int round = 0; round < 3; ++round) {
-    std::vector<std::thread> threads;
-    for (int t = 0; t < 4; ++t) {
-      threads.emplace_back([&log, t] {
-        for (int i = 0; i < 500; ++i) {
-          log.append(EventRecord::enter(t, 0, true, i));
-        }
-      });
-    }
-    for (auto& thread : threads) thread.join();
-    const auto segment = log.drain();
-    ASSERT_EQ(segment.size(), 2000u);
-    for (std::size_t i = 1; i < segment.size(); ++i) {
-      ASSERT_LT(segment[i - 1].seq, segment[i].seq);
-    }
-    if (have_previous) {
-      EXPECT_GT(segment.front().seq, previous_max)
-          << "event migrated past a drain boundary in seq space";
-    }
-    previous_max = segment.back().seq;
-    have_previous = true;
-  }
-}
-
-TEST(EventLogTest, SingleShardSerializedAppendsKeepTotalOrder) {
-  // The HoareMonitor discipline: appends from many threads, but serialized
-  // by an external lock, into a single-shard log.  The drain-merge must
-  // reproduce the exact append order — Algorithm-1 replays the segment as
-  // an order-sensitive state machine.
-  EventLog log(/*retain_history=*/false, /*shards=*/1);
   std::mutex order_mu;
   long order = 0;
   std::vector<std::thread> threads;
@@ -257,69 +182,50 @@ TEST(EventLogTest, SingleShardSerializedAppendsKeepTotalOrder) {
   for (std::size_t i = 0; i < segment.size(); ++i) {
     ASSERT_EQ(segment[i].time, static_cast<long>(i))
         << "append order lost at position " << i;
+    ASSERT_EQ(segment[i].seq, i);
   }
 }
 
-TEST(EventLogTest, StaleThreadCacheNeverResolvesToDeadShard) {
-  // The per-thread shard cache is keyed by log id, not address: destroy a
-  // log, construct a new one at the same address, and this thread's cached
-  // (now dangling) shard pointer must not resolve for the new log.
-  alignas(EventLog) unsigned char storage[sizeof(EventLog)];
-  EventLog* log = new (storage) EventLog();
-  log->append(EventRecord::enter(1, 0, true, 10));  // warms the cache
-  log->~EventLog();
-  EventLog* reborn = new (storage) EventLog();
-  EXPECT_EQ(reborn->total_appended(), 0u);
-  reborn->append(EventRecord::enter(2, 0, true, 20));
-  EXPECT_EQ(reborn->total_appended(), 1u);
-  const auto segment = reborn->drain();
-  ASSERT_EQ(segment.size(), 1u);
-  EXPECT_EQ(segment[0].pid, 2);
-  EXPECT_EQ(segment[0].seq, 0u);  // fresh log, fresh sequence space
-  reborn->~EventLog();
-}
-
-TEST(EventLogTest, OverflowSpillsThenDropsWithExactAccounting) {
-  EventLog::Options options;
-  options.shards = 1;
-  options.ring_capacity = 8;
-  options.overflow_capacity = 4;
-  EventLog log(options);
+TEST(EventLogTest, SegmentBoundDropsWithExactAccounting) {
+  EventLog log(EventLog::Options{.segment_capacity = 8});
   for (int i = 0; i < 20; ++i) {
-    log.append(EventRecord::enter(1, 0, true, i));
+    EXPECT_EQ(log.append(EventRecord::enter(1, 0, true, i)), i < 8);
   }
-  // 8 fill the ring, 4 spill to the bounded overflow list, 8 drop — and
-  // every drop is counted: accepted + lost == issued.
-  EXPECT_EQ(log.total_appended(), 12u);
-  EXPECT_EQ(log.events_lost(), 8u);
+  // 8 fill the segment, 12 drop — and every drop is counted:
+  // accepted + lost == issued.
+  EXPECT_EQ(log.total_appended(), 8u);
+  EXPECT_EQ(log.events_lost(), 12u);
+  EXPECT_EQ(log.pending(), 8u);
   const auto drained = log.drain();
-  ASSERT_EQ(drained.size(), 12u);
-  for (std::size_t i = 1; i < drained.size(); ++i) {
-    EXPECT_LT(drained[i - 1].seq, drained[i].seq);
+  ASSERT_EQ(drained.size(), 8u);
+  for (std::size_t i = 0; i < drained.size(); ++i) {
+    EXPECT_EQ(drained[i].seq, i);  // a drop consumes no seq
+    EXPECT_EQ(drained[i].time, static_cast<long>(i));
   }
   EXPECT_EQ(log.pending(), 0u);
-  // The ring is reusable after the drain; the loss counter is cumulative.
-  log.append(EventRecord::enter(1, 0, true, 99));
-  EXPECT_EQ(log.total_appended(), 13u);
-  EXPECT_EQ(log.events_lost(), 8u);
+  // The next segment accepts again; the loss counter is cumulative.
+  EXPECT_TRUE(log.append(EventRecord::enter(1, 0, true, 99)));
+  EXPECT_EQ(log.total_appended(), 9u);
+  EXPECT_EQ(log.events_lost(), 12u);
+  const auto next = log.drain();
+  ASSERT_EQ(next.size(), 1u);
+  EXPECT_EQ(next[0].seq, 8u);
 }
 
 TEST(EventLogTest, ConcurrentOverflowAccountingIsExactUnderStalledDrain) {
-  // Appender threads race into one deliberately undersized shard while no
-  // drain runs (a stalled consumer).  The overflow contract under
-  // contention: every append is either accepted — and drains exactly once
-  // — or counted lost.  No silent drops, no duplicates.
-  EventLog::Options options;
-  options.shards = 1;
-  options.ring_capacity = 64;
-  options.overflow_capacity = 64;
-  EventLog log(options);
+  // Appender threads, serialized by an external mutex (the monitor's lock),
+  // race into one deliberately undersized segment while no drain runs (a
+  // stalled consumer).  Every append is either accepted — and drains
+  // exactly once — or counted lost.  No silent drops, no duplicates.
+  EventLog log(EventLog::Options{.segment_capacity = 128});
+  std::mutex mu;
   constexpr std::uint64_t kThreads = 4;
   constexpr std::uint64_t kPerThread = 1000;
   std::vector<std::thread> threads;
   for (std::uint64_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&log, t] {
+    threads.emplace_back([&log, &mu, t] {
       for (std::uint64_t i = 0; i < kPerThread; ++i) {
+        std::lock_guard<std::mutex> lock(mu);
         log.append(EventRecord::enter(static_cast<Pid>(t), 0, true,
                                       static_cast<long>(i)));
       }
@@ -327,71 +233,53 @@ TEST(EventLogTest, ConcurrentOverflowAccountingIsExactUnderStalledDrain) {
   }
   for (auto& thread : threads) thread.join();
   constexpr std::uint64_t kIssued = kThreads * kPerThread;
+  EXPECT_EQ(log.total_appended(), 128u);
   EXPECT_EQ(log.total_appended() + log.events_lost(), kIssued);
-  EXPECT_GT(log.events_lost(), 0u);  // 128 slots cannot hold 4000 events
   const auto drained = log.drain();
-  EXPECT_EQ(drained.size(), log.total_appended());
-  for (std::size_t i = 1; i < drained.size(); ++i) {
-    ASSERT_LT(drained[i - 1].seq, drained[i].seq) << "duplicate seq";
+  ASSERT_EQ(drained.size(), log.total_appended());
+  for (std::size_t i = 0; i < drained.size(); ++i) {
+    ASSERT_EQ(drained[i].seq, i) << "duplicate or missing seq";
   }
   EXPECT_EQ(log.pending(), 0u);
-  // Accepting resumes once the drain frees the ring.
+  // Accepting resumes once the drain ends the segment.
   log.append(EventRecord::enter(0, 0, true, 0));
   EXPECT_EQ(log.drain().size(), 1u);
 }
 
-// total_appended() is derived from the rings' claim cursors plus the spill
-// count, so the loss identity and pending() are checked on each of the three
-// append paths — ring only, ring + overflow spill, ring + spill + drop —
-// with racing producers and drains interleaved between rounds.
-TEST(EventLogTest, DerivedCountsHoldOnRingSpillAndDropPaths) {
-  struct Path {
-    const char* name;
-    std::size_t ring_capacity;
-    std::size_t overflow_capacity;
-    bool expect_loss;
-  };
-  constexpr std::uint64_t kThreads = 4;
-  constexpr std::uint64_t kPerThread = 500;
-  constexpr std::uint64_t kRounds = 3;
-  constexpr std::uint64_t kPerRound = kThreads * kPerThread;
-  for (const Path path : {Path{"ring", 1 << 12, 1 << 12, false},
-                          Path{"spill", 64, 1 << 12, false},
-                          Path{"drop", 64, 64, true}}) {
-    SCOPED_TRACE(path.name);
-    EventLog::Options options;
-    options.shards = 2;
-    options.ring_capacity = path.ring_capacity;
-    options.overflow_capacity = path.overflow_capacity;
-    EventLog log(options);
-    std::uint64_t drained = 0;
-    for (std::uint64_t round = 1; round <= kRounds; ++round) {
-      std::vector<std::thread> threads;
-      for (std::uint64_t t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&log, t] {
-          for (std::uint64_t i = 0; i < kPerThread; ++i) {
-            log.append(EventRecord::enter(static_cast<Pid>(t), 0, true,
-                                          static_cast<long>(i)));
-          }
-        });
-      }
-      for (auto& thread : threads) thread.join();
-      const std::uint64_t calls = round * kPerRound;
-      ASSERT_EQ(log.total_appended() + log.events_lost(), calls);
-      EXPECT_EQ(log.pending(), log.total_appended() - drained);
-      if (path.expect_loss) {
-        EXPECT_GT(log.events_lost(), 0u);
-      } else {
-        // On the spill path a round outgrows both rings, so the lossless
-        // total proves events went through the overflow list.
-        EXPECT_EQ(log.events_lost(), 0u);
-        EXPECT_EQ(log.pending(), kPerRound);
-      }
-      drained += log.drain().size();
-      EXPECT_EQ(drained, log.total_appended());
-      EXPECT_EQ(log.pending(), 0u);
+TEST(EventLogTest, CountersReadableWhileWriterAppendsAndDrains) {
+  // The counters are the log's only cross-thread surface: a reader may poll
+  // them while the (single) writer appends and drains.  Under TSan this is
+  // the race check; the invariants hold at every observation.
+  EventLog log(EventLog::Options{.segment_capacity = 64});
+  constexpr std::uint64_t kAppends = 20000;
+  std::atomic<bool> done{false};
+  std::uint64_t drained = 0;
+  std::thread writer([&] {
+    for (std::uint64_t i = 0; i < kAppends; ++i) {
+      log.append(EventRecord::enter(1, 0, true, static_cast<long>(i)));
+      if (i % 100 == 99) drained += log.drain().size();
     }
+    done.store(true, std::memory_order_release);
+  });
+  std::uint64_t last_appended = 0, last_lost = 0, polls = 0;
+  while (!done.load(std::memory_order_acquire) || polls == 0) {
+    const std::size_t pending = log.pending();
+    const std::uint64_t appended = log.total_appended();
+    const std::uint64_t lost = log.events_lost();
+    EXPECT_LE(pending, appended);
+    EXPECT_GE(appended, last_appended);
+    EXPECT_GE(lost, last_lost);
+    EXPECT_LE(appended + lost, kAppends);
+    last_appended = appended;
+    last_lost = lost;
+    ++polls;
   }
+  writer.join();
+  drained += log.drain().size();
+  EXPECT_EQ(log.total_appended() + log.events_lost(), kAppends);
+  EXPECT_GT(log.events_lost(), 0u);  // 100 appends per 64-record segment
+  EXPECT_EQ(drained, log.total_appended());
+  EXPECT_EQ(log.pending(), 0u);
 }
 
 SchedulingState sample_state() {
